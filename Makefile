@@ -17,8 +17,8 @@ bench:
 bench-paper:
 	REPRO_SCALE=paper $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Miner throughput only (serial vs parallel vs the pre-streaming
-# baseline); appends a trajectory point to benchmarks/results/BENCH_miner.json.
+# Miner throughput only (in-memory store vs directory, serial vs
+# parallel); appends a trajectory point to benchmarks/results/BENCH_miner.json.
 bench-miner:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_miner_throughput.py -q -s
 

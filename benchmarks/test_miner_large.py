@@ -57,16 +57,16 @@ def test_miner_large_corpus(tmp_path, monkeypatch):
         logdir, target_mb * 1024 * 1024, seed=DEFAULT_SEED
     )
 
-    miner = LogMiner(fast=True)
+    miner = LogMiner()
 
     # read(2) first: its rounds warm the page cache, so neither path
     # pays the cold-cache penalty inside its best-of-N window.
     monkeypatch.setenv("REPRO_MMAP", "0")
-    read_events, read_s = _time_best(miner.mine, str(logdir), rounds=rounds)
+    (read_events, _), read_s = _time_best(miner.mine, str(logdir), rounds=rounds)
     monkeypatch.setenv("REPRO_MMAP", "1")
-    mmap_events, mmap_s = _time_best(miner.mine, str(logdir), rounds=rounds)
-    parallel_events, parallel_s = _time_best(
-        miner.mine_parallel, str(logdir), 4, rounds=rounds
+    (mmap_events, _), mmap_s = _time_best(miner.mine, str(logdir), rounds=rounds)
+    (parallel_events, _), parallel_s = _time_best(
+        miner.mine, str(logdir), 4, rounds=rounds
     )
 
     # Byte-identity at scale: one misplaced window boundary anywhere in

@@ -1,28 +1,24 @@
-"""Miner throughput: streaming single-pass dispatch vs the pre-PR miner.
+"""Miner throughput: the in-memory store lane vs the byte directory lane.
 
 Generates a synthetic multi-application log corpus (RM + NM + one
 stream per container, with realistic executor chatter as noise),
 measures lines/sec for
 
-* the **legacy** miner (the pre-streaming implementation: list
-  materialization plus a cascade of up to five regex attempts per
-  container-log line), kept here verbatim as the comparison baseline;
-* the current **serial** miner (prefix-gated single alternation);
-* the **legacy directory** path (``LogMiner(fast=False)``: text-mode
-  record streaming off disk, per-daemon parallelism);
-* the **fast directory** path (``LogMiner(fast=True)``: two-phase byte
-  scanning, chunk partitioning), serial and at ``--jobs 4``;
+* the **store** lane (``LogMiner().mine(store)``: the in-memory record
+  scan, folded through the same accumulator as every other source);
+* the **fast directory** path (two-phase byte scanning, chunk
+  partitioning), serial and at ``jobs=4``;
 
-asserts they all agree event-for-event, and appends a trajectory
-point to ``benchmarks/results/BENCH_miner.json``.
+asserts they all agree event-for-event, timestamps and diagnostics
+ledger included, and appends a trajectory point to
+``benchmarks/results/BENCH_miner.json``.
 
 Corpus size: ~500k lines under ``REPRO_SCALE=paper`` (the acceptance
 corpus), ~120k under the default ``small`` scale, and ~4k when
-``REPRO_BENCH_SMOKE=1`` (the CI smoke job, which checks equivalence
-and that the fast path is never slower than the legacy directory
-path).  The parallel-speedup assertion only runs with at least two
-usable CPUs — on a single-CPU runner a worker pool cannot beat serial
-and the recorded number simply documents that honestly.
+``REPRO_BENCH_SMOKE=1`` (the CI smoke job, which checks equivalence).
+The parallel-speedup assertion only runs with at least two usable
+CPUs — on a single-CPU runner a worker pool cannot beat serial and the
+recorded number simply documents that honestly.
 """
 
 from __future__ import annotations
@@ -31,12 +27,8 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import List
 
-from repro.core import messages as msg
-from repro.core.events import EventKind, SchedulingEvent
 from repro.core.parser import LogMiner, available_cpus
-from repro.logsys.record import LogRecord
 from repro.logsys.store import LogStore
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -77,7 +69,7 @@ def build_corpus(mode: str) -> LogStore:
         return clock[0]
 
     def emit(daemon: str, cls: str, message: str) -> None:
-        store.append(daemon, LogRecord(tick(), cls, message))
+        store.logger(daemon, tick).info(cls, message)
 
     for i in range(1, corpus_apps(mode) + 1):
         app = f"application_1515715200000_{i:04d}"
@@ -115,135 +107,6 @@ def build_corpus(mode: str) -> LogStore:
     return store
 
 
-class LegacyLogMiner:
-    """The pre-streaming miner, verbatim: the benchmark baseline.
-
-    Materializes every stream, then classifies container-log lines with
-    the cascaded ``classify_first_task_line`` →
-    ``classify_mr_task_done_line`` → ``classify_driver_line`` battery
-    (up to five regex attempts per line).
-    """
-
-    def mine(self, store: LogStore) -> List[SchedulingEvent]:
-        events: List[SchedulingEvent] = []
-        for daemon in store.daemons:
-            records = list(store.records(daemon))
-            if not records:
-                continue
-            if msg.CONTAINER_ID_RE.match(daemon):
-                events.extend(self._mine_container_stream(daemon, records))
-            elif daemon.startswith("hadoop-resourcemanager"):
-                events.extend(self._mine_rm_stream(daemon, records))
-            elif daemon.startswith("hadoop-nodemanager"):
-                events.extend(self._mine_nm_stream(daemon, records))
-        return events
-
-    def _mine_rm_stream(self, daemon, records) -> List[SchedulingEvent]:
-        events: List[SchedulingEvent] = []
-        for record in records:
-            if record.cls.endswith("RMAppImpl"):
-                hit = msg.classify_rm_app_line(record.message)
-                if hit is not None:
-                    kind, app_id = hit
-                    events.append(
-                        SchedulingEvent(kind, record.timestamp, app_id, None, daemon)
-                    )
-            elif record.cls.endswith("RMContainerImpl"):
-                hit = msg.classify_rm_container_line(record.message)
-                if hit is not None:
-                    kind, container_id = hit
-                    events.append(
-                        SchedulingEvent(
-                            kind,
-                            record.timestamp,
-                            msg.app_id_of_container(container_id),
-                            container_id,
-                            daemon,
-                        )
-                    )
-        return events
-
-    def _mine_nm_stream(self, daemon, records) -> List[SchedulingEvent]:
-        events: List[SchedulingEvent] = []
-        for record in records:
-            if not record.cls.endswith("ContainerImpl"):
-                continue
-            hit = msg.classify_nm_container_line(record.message)
-            if hit is None:
-                continue
-            kind, container_id = hit
-            events.append(
-                SchedulingEvent(
-                    kind,
-                    record.timestamp,
-                    msg.app_id_of_container(container_id),
-                    container_id,
-                    daemon,
-                )
-            )
-        return events
-
-    def _mine_container_stream(self, daemon, records) -> List[SchedulingEvent]:
-        container_id = daemon
-        app_id = msg.app_id_of_container(container_id)
-        events: List[SchedulingEvent] = []
-        first = records[0]
-        events.append(
-            SchedulingEvent(
-                EventKind.INSTANCE_FIRST_LOG,
-                first.timestamp,
-                app_id,
-                container_id,
-                daemon,
-                source_class=first.cls,
-                detail=first.message,
-            )
-        )
-        saw_task = False
-        saw_mr_done = False
-        for record in records:
-            if not saw_task and msg.classify_first_task_line(record.message):
-                saw_task = True
-                events.append(
-                    SchedulingEvent(
-                        EventKind.FIRST_TASK,
-                        record.timestamp,
-                        app_id,
-                        container_id,
-                        daemon,
-                        source_class=record.cls,
-                    )
-                )
-                continue
-            if not saw_mr_done and msg.classify_mr_task_done_line(record.message):
-                saw_mr_done = True
-                events.append(
-                    SchedulingEvent(
-                        EventKind.MR_TASK_DONE,
-                        record.timestamp,
-                        app_id,
-                        container_id,
-                        daemon,
-                        source_class=record.cls,
-                    )
-                )
-                continue
-            hit = msg.classify_driver_line(record.message)
-            if hit is not None:
-                kind, line_app_id = hit
-                events.append(
-                    SchedulingEvent(
-                        kind,
-                        record.timestamp,
-                        line_app_id,
-                        container_id,
-                        daemon,
-                        source_class=record.cls,
-                    )
-                )
-        return events
-
-
 def _time(fn, *args):
     start = time.perf_counter()
     result = fn(*args)
@@ -276,29 +139,28 @@ def test_miner_throughput(benchmark, scale, tmp_path):
     logdir = tmp_path / "corpus"
     store.dump(logdir)
 
-    legacy_dir_miner = LogMiner(fast=False)
-    fast_miner = LogMiner(fast=True)
-    legacy_events, legacy_s = _time_best(LegacyLogMiner().mine, store)
-    serial_events, serial_s = _time_best(legacy_dir_miner.mine, store)
-    serial_dir_events, serial_dir_s = _time_best(legacy_dir_miner.mine, str(logdir))
-    fast_serial_events, fast_serial_s = _time_best(fast_miner.mine, str(logdir))
-    fast_parallel_events, fast_parallel_s = _time_best(
-        fast_miner.mine_parallel, str(logdir), 4
+    miner = LogMiner()
+    (store_events, store_diag), store_s = _time_best(miner.mine, store)
+    (fast_serial_events, fast_serial_diag), fast_serial_s = _time_best(
+        miner.mine, str(logdir)
     )
-    benchmark.pedantic(fast_miner.mine, args=(str(logdir),), rounds=1, iterations=1)
+    (fast_parallel_events, fast_parallel_diag), fast_parallel_s = _time_best(
+        miner.mine, str(logdir), 4
+    )
+    benchmark.pedantic(miner.mine, args=(str(logdir),), rounds=1, iterations=1)
 
-    # Equivalence: every pipeline must reproduce the legacy miner
-    # event-for-event.
-    assert serial_events == legacy_events
-    assert fast_serial_events == serial_dir_events
-    assert fast_parallel_events == serial_dir_events
-    assert [
-        (e.kind, e.app_id, e.container_id, e.daemon) for e in serial_dir_events
-    ] == [(e.kind, e.app_id, e.container_id, e.daemon) for e in serial_events]
+    # Equivalence: one lane, so the store and its dumped directory mine
+    # to the same events and ledger, serially and in parallel.
+    assert store_events
+    assert fast_serial_events == store_events
+    assert fast_parallel_events == store_events
+    ledgers = [
+        {d: stream.to_dict() for d, stream in diag.streams.items()}
+        for diag in (store_diag, fast_serial_diag, fast_parallel_diag)
+    ]
+    assert ledgers[1] == ledgers[0] and ledgers[2] == ledgers[0]
 
     cpus = available_cpus()
-    speedup = legacy_s / serial_s if serial_s > 0 else float("inf")
-    fast_speedup = serial_dir_s / fast_serial_s if fast_serial_s > 0 else float("inf")
     parallel_ratio = (
         fast_serial_s / fast_parallel_s if fast_parallel_s > 0 else float("inf")
     )
@@ -307,40 +169,17 @@ def test_miner_throughput(benchmark, scale, tmp_path):
         "corpus_lines": lines,
         "apps": corpus_apps(mode),
         "cpus": cpus,
-        "legacy_store_lps": round(lines / legacy_s),
-        "serial_store_lps": round(lines / serial_s),
-        "serial_dir_lps": round(lines / serial_dir_s),
+        "serial_store_lps": round(lines / store_s),
         "fast_serial_dir_lps": round(lines / fast_serial_s),
         "fast_parallel_dir_lps": round(lines / fast_parallel_s),
         "parallel_jobs": 4,
-        "speedup_vs_legacy": round(speedup, 2),
-        "fast_speedup_vs_dir": round(fast_speedup, 2),
         "fast_parallel_ratio": round(parallel_ratio, 2),
     }
     _record_point(point)
     print()
     print(json.dumps(point))
 
-    assert lines / serial_s > 0
-    # The fast path must never lose to the legacy directory path — the
-    # regression bar the REPRO_BENCH_SMOKE=1 CI job enforces on every
-    # push (best-of-3 timing keeps this stable on noisy runners).
-    assert fast_serial_s <= serial_dir_s, (
-        f"fast path slower than legacy directory path "
-        f"({fast_serial_s:.3f}s vs {serial_dir_s:.3f}s)"
-    )
-    if mode == "paper":
-        # The acceptance bars, stated on the ~500k-line paper corpus.
-        # The store-miner ratio is environment-sensitive (the original
-        # acceptance run recorded 3.7x, today's runner measures ~2.7x
-        # for the unchanged seed code), so assert a conservative floor
-        # rather than the historical high-water mark.
-        assert speedup >= 2.0, f"only {speedup:.2f}x over the legacy miner"
-        # The fast directory path is the bar this file exists for:
-        # >= 3x the legacy directory path, per-run, no grandfathering.
-        assert fast_speedup >= 3.0, (
-            f"fast path only {fast_speedup:.2f}x over the legacy directory path"
-        )
+    assert lines / store_s > 0 and lines / fast_serial_s > 0
     if mode != "smoke" and cpus >= 2:
         # Chunk parallelism must win outright wherever there is a
         # second CPU to scale onto; on a single-CPU runner the pool can

@@ -3,12 +3,13 @@
 A candidate is a dict of knob overrides (see
 :mod:`repro.calibrate.space`).  Evaluating it compiles the overrides
 onto the replay scenario, runs the testbed to completion at the fixed
-replay seed, dumps the emitted log4j files to a scratch directory, and
-mines them with the fast-path SDchecker — the *same* path a target
-corpus is mined through, so a candidate whose parameters exactly match
-the target's generator reproduces the target decomposition byte for
-byte and scores error 0 (the self-fit identity the acceptance suite
-pins).
+replay seed, and mines its log store in memory.  Log records carry the
+millisecond their line renders to, so that report is the one the
+candidate's dumped log4j files would give — the same quantization any
+on-disk target corpus went through.  A candidate whose parameters
+exactly match the target's generator therefore reproduces the target
+decomposition byte for byte and scores error 0 (the self-fit identity
+the acceptance suite pins).
 
 The score is a weighted per-component error over the paper's
 decomposition: queue wait, AM launch, driver, localization, ramp, and
@@ -20,11 +21,9 @@ fixed missing-penalty, and a component absent from both sides is free.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.core.checker import SDChecker
 from repro.core.report import AnalysisReport
 from repro.core.stats import DelaySample
 from repro.simul.engine import SimulationError
@@ -252,22 +251,14 @@ def apply_overrides(scenario: Scenario, overrides: Mapping[str, Any]) -> Scenari
 
 
 def mine_scenario(scenario: Scenario, seed: int) -> AnalysisReport:
-    """Simulate one scenario and mine its *dumped* logs.
+    """Simulate one scenario at ``seed`` and mine its logs.
 
-    Dumping before mining matters twice: the directory path is the
-    byte-scanning fast path, and the millisecond log4j timestamp
-    rendering is applied — the same quantization any on-disk target
-    corpus went through, which is what makes the self-fit identity
+    Mining the in-memory store gives exactly the report of the run's
+    dumped logs, because every record is stamped with the millisecond
+    its line renders to — which is what makes the self-fit identity
     exact instead of merely close.
     """
-    bed, monitor = scenario.build(seed)
-    bed.run_until_all_finished(limit=scenario.limit_s)
-    if monitor is not None:
-        monitor.stop()
-    with tempfile.TemporaryDirectory(prefix="repro-calibrate-") as scratch:
-        logdir = f"{scratch}/logs"
-        bed.dump_logs(logdir)
-        return SDChecker(jobs=1).analyze(logdir)
+    return scenario.run(seed).report
 
 
 def evaluate_candidate(

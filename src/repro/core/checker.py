@@ -10,7 +10,7 @@ from repro.core.decompose import decompose
 from repro.core.diagnostics import AppDiagnostics
 from repro.core.graph import SchedulingGraph
 from repro.core.grouping import ApplicationTrace, group_events
-from repro.core.parser import AUTO_JOBS, LogMiner, resolve_jobs
+from repro.core.parser import AUTO_JOBS, LogMiner
 from repro.core.report import AnalysisReport
 from repro.logsys.store import LogStore
 
@@ -53,39 +53,28 @@ class SDChecker:
 
     ``jobs`` is a worker-process count or ``"auto"`` (the default),
     which resolves per source via :func:`repro.core.parser.resolve_jobs`
-    — serial for small corpora or single-CPU machines, a worker pool
-    otherwise.  Parallel mining is byte-identical to serial mining (the
-    chunk/stream merge is deterministic), only faster on large corpora.
+    — serial for small corpora, single-CPU machines and in-memory
+    stores, a worker pool otherwise.  Parallel mining is byte-identical
+    to serial mining (the chunk merge is deterministic), only faster on
+    large corpora.
     """
 
     def __init__(self, jobs: Union[int, str] = AUTO_JOBS) -> None:
         self._miner = LogMiner()
         self.jobs = jobs
 
-    def _resolved_jobs(self, source: Union[LogStore, str, Path]) -> int:
-        return resolve_jobs(self.jobs, source)
-
-    def mine(self, source: Union[LogStore, str, Path]):
-        """Step 1: raw scheduling events."""
-        jobs = self._resolved_jobs(source)
-        if jobs > 1:
-            return self._miner.mine_parallel(source, jobs=jobs)
-        return self._miner.mine(source)
+    def mine_with_diagnostics(self, source: Union[LogStore, str, Path]):
+        """Step 1: raw scheduling events and the tolerance ledger,
+        ``(events, MiningDiagnostics)``."""
+        return self._miner.mine(source, jobs=self.jobs)
 
     def group(self, source: Union[LogStore, str, Path]) -> Dict[str, ApplicationTrace]:
         """Steps 1-2: per-application traces."""
-        return group_events(self.mine(source))
+        return group_events(self.mine_with_diagnostics(source)[0])
 
     def graph(self, trace: ApplicationTrace) -> SchedulingGraph:
         """Step 3: the scheduling graph of one application."""
         return SchedulingGraph(trace)
-
-    def mine_with_diagnostics(self, source: Union[LogStore, str, Path]):
-        """Step 1 with the tolerance ledger: (events, MiningDiagnostics)."""
-        jobs = self._resolved_jobs(source)
-        if jobs > 1:
-            return self._miner.mine_parallel_with_diagnostics(source, jobs=jobs)
-        return self._miner.mine_with_diagnostics(source)
 
     def analyze(self, source: Union[LogStore, str, Path]) -> AnalysisReport:
         """The full pipeline: a report over every application found.

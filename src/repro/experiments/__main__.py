@@ -15,8 +15,8 @@ from typing import List, Optional
 from repro.workloads.scenarios import SCENARIO_PRESETS, list_scenarios
 
 USAGE = """\
-usage: python -m repro.experiments scenario <name> [--seed N] [--jobs N|auto]
-                                                   [--dump DIR] [--json]
+usage: python -m repro.experiments scenario <name> [--seed N] [--dump DIR]
+                                                   [--json]
        python -m repro.experiments scenario --list
 
 Run a named production-scale scenario preset: generate its logs on the
@@ -24,7 +24,6 @@ simulated testbed, mine them with SDchecker, and print the report.
 
 options:
   --seed N     override the preset's pinned seed
-  --jobs N     mine with N worker processes ('auto' = one per core)
   --dump DIR   also write the generated log files under DIR
   --json       print the mined report as JSON instead of the summary
 """
@@ -47,7 +46,6 @@ def _run_scenario(argv: List[str]) -> int:
     if "--list" in argv:
         return _print_presets()
     seed: Optional[int] = None
-    jobs = 1
     dump: Optional[str] = None
     as_json = False
     name: Optional[str] = None
@@ -58,18 +56,6 @@ def _run_scenario(argv: List[str]) -> int:
                 seed = int(next(it))
             except (StopIteration, ValueError):
                 return _fail("error: --seed needs an integer")
-        elif arg == "--jobs":
-            try:
-                raw = next(it)
-            except StopIteration:
-                return _fail("error: --jobs needs an integer or 'auto'")
-            if raw == "auto":
-                jobs = raw
-            else:
-                try:
-                    jobs = int(raw)
-                except ValueError:
-                    return _fail("error: --jobs needs an integer or 'auto'")
         elif arg == "--dump":
             try:
                 dump = next(it)
@@ -88,7 +74,7 @@ def _run_scenario(argv: List[str]) -> int:
     if name not in SCENARIO_PRESETS:
         return _fail(f"error: unknown scenario preset {name!r}")
     scenario = SCENARIO_PRESETS[name]
-    run = scenario.run(seed=seed, jobs=jobs)
+    run = scenario.run(seed=seed)
     if dump is not None:
         run.testbed.dump_logs(dump)
     if as_json:

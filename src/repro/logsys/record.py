@@ -2,10 +2,12 @@
 
 Timestamps are simulated seconds since an arbitrary epoch; rendering
 converts them to the log4j default layout ``yyyy-MM-dd HH:mm:ss,SSS``
-with millisecond precision.  Parsing inverts the rendering, losing any
-sub-millisecond component — matching the paper's statement that "each
+with millisecond precision — matching the paper's statement that "each
 timestamp has a precision of 1 millisecond, which is also the precision
-of SDchecker".
+of SDchecker".  A record is stamped with :func:`millisecond_stamp` when
+it is logged, so its timestamp is already the one parsing its rendered
+line gives back: a log held in memory and the same log read off disk
+carry identical timestamps.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "classify_head_bytes",
     "classify_ts_prefix",
     "format_timestamp",
+    "millisecond_stamp",
     "parse_timestamp",
     "EPOCH_LABEL",
     "PARSE_OK",
@@ -172,6 +175,17 @@ def format_timestamp(sim_seconds: float) -> str:
         f"{year:04d}-{month:02d}-{day + days:02d} "
         f"{hours:02d}:{minutes:02d}:{seconds:02d},{millis:03d}"
     )
+
+
+def millisecond_stamp(sim_seconds: float) -> float:
+    """``sim_seconds`` at the millisecond its rendered line shows.
+
+    Equal, bit for bit, to :func:`parse_timestamp` of the
+    :func:`format_timestamp` text (the same whole seconds plus the same
+    ``millis / 1000.0``), and it renders to that same text again.
+    """
+    secs, millis = divmod(int(round(sim_seconds * 1000.0)), 1000)
+    return secs + millis / 1000.0
 
 
 def parse_timestamp(date: str, time: str, millis: str) -> float:

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.logsys.diagnostics import StreamDiagnostics
-from repro.logsys.record import PARSE_BAD_TIMESTAMP, LogRecord
+from repro.logsys.record import PARSE_BAD_TIMESTAMP, LogRecord, millisecond_stamp
 
 try:  # pragma: no cover - exercised indirectly by the fallback tests
     import mmap as _mmap
@@ -403,7 +403,13 @@ def stream_segments(directory: str | Path) -> List[Tuple[str, List[Path]]]:
 
 
 class DaemonLogger:
-    """Bound logger for one daemon; stamps records with simulated time."""
+    """Bound logger for one daemon; stamps records with simulated time.
+
+    The stamp is the millisecond the record's line renders to
+    (:func:`~repro.logsys.record.millisecond_stamp`), so the store holds
+    exactly what its dumped files hold and mining either gives the same
+    report.
+    """
 
     def __init__(self, store: "LogStore", daemon: str, clock: Callable[[], float]):
         self._store = store
@@ -420,7 +426,12 @@ class DaemonLogger:
         return self.log("ERROR", cls, message)
 
     def log(self, level: str, cls: str, message: str) -> LogRecord:
-        record = LogRecord(timestamp=self._clock(), cls=cls, message=message, level=level)
+        record = LogRecord(
+            timestamp=millisecond_stamp(self._clock()),
+            cls=cls,
+            message=message,
+            level=level,
+        )
         self._store.append(self.daemon, record)
         return record
 

@@ -134,8 +134,10 @@ class TestMinerIntegration:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         store = LogStore()
         for i in range(4):
-            store.append(f"daemon-{i}", LogRecord(float(i), "x.Noise", "noise"))
+            daemon = f"container_1515715200000_0001_01_{i + 1:06d}"
+            store.append(daemon, LogRecord(float(i), "x.Noise", "noise"))
+        store.dump(tmp_path)
         miner = LogMiner()
-        events = miner.mine_parallel(store, jobs=2)
-        assert events == miner.mine(store)
+        events, _ = miner.mine(tmp_path, jobs=2)
+        assert events and events == miner.mine(tmp_path)[0]
         assert fresh_sanitizer.report() == []

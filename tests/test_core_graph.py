@@ -11,7 +11,7 @@ from tests.test_core_parser import AM, APP, EXEC, build_store
 
 @pytest.fixture(scope="module")
 def graph():
-    traces = group_events(LogMiner().mine(build_store()))
+    traces = group_events(LogMiner().mine(build_store())[0])
     return SchedulingGraph(traces[APP])
 
 

@@ -16,7 +16,7 @@ from tests.test_core_parser import AM, APP, EXEC, build_store
 
 @pytest.fixture(scope="module")
 def trace():
-    traces = group_events(LogMiner().mine(build_store()))
+    traces = group_events(LogMiner().mine(build_store())[0])
     assert list(traces) == [APP]
     return traces[APP]
 
@@ -155,7 +155,7 @@ class TestMissingEvents:
                 ),
             ]
         )
-        traces = group_events(LogMiner().mine(store))
+        traces = group_events(LogMiner().mine(store)[0])
         delays = decompose(traces[APP])
         assert delays.total_delay is None
         assert delays.am_delay is None

@@ -41,7 +41,7 @@ def build_store() -> LogStore:
 
 class TestMining:
     def test_extracts_every_table1_kind(self):
-        events = LogMiner().mine(build_store())
+        events = LogMiner().mine(build_store())[0]
         kinds = {e.kind for e in events}
         assert kinds == {
             EventKind.APP_SUBMITTED,
@@ -60,20 +60,20 @@ class TestMining:
         }
 
     def test_first_log_is_streams_first_line(self):
-        events = LogMiner().mine(build_store())
+        events = LogMiner().mine(build_store())[0]
         first_logs = [e for e in events if e.kind is EventKind.INSTANCE_FIRST_LOG]
         am_first = next(e for e in first_logs if e.container_id == AM)
         assert am_first.timestamp == pytest.approx(2.0)
         assert "ApplicationMaster" in am_first.source_class
 
     def test_only_first_task_line_yields_event(self):
-        events = LogMiner().mine(build_store())
+        events = LogMiner().mine(build_store())[0]
         tasks = [e for e in events if e.kind is EventKind.FIRST_TASK]
         assert len(tasks) == 1
         assert tasks[0].timestamp == pytest.approx(9.5)
 
     def test_container_events_bind_app_id(self):
-        events = LogMiner().mine(build_store())
+        events = LogMiner().mine(build_store())[0]
         for event in events:
             assert event.app_id == APP
 
@@ -85,14 +85,14 @@ class TestMining:
                 1.0, "X", "whatever"
             ),
         )
-        events_with = LogMiner().mine(store)
+        events_with = LogMiner().mine(store)[0]
         assert all(e.daemon != "random-service" for e in events_with)
 
     def test_mining_from_directory(self, tmp_path):
         store = build_store()
         store.dump(tmp_path)
-        events = LogMiner().mine(tmp_path)
-        assert len(events) == len(LogMiner().mine(store))
+        events = LogMiner().mine(tmp_path)[0]
+        assert len(events) == len(LogMiner().mine(store)[0])
 
     def test_noise_lines_between_messages_tolerated(self):
         store = build_store()
@@ -100,5 +100,5 @@ class TestMining:
 
         store.append("hadoop-resourcemanager", LogRecord(3.0, "x.RMAppImpl", "garbage text"))
         store.append("hadoop-resourcemanager", LogRecord(3.0, "x.Other", "noise"))
-        events = LogMiner().mine(store)
+        events = LogMiner().mine(store)[0]
         assert len([e for e in events if e.kind is EventKind.APP_SUBMITTED]) == 1

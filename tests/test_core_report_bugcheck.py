@@ -44,25 +44,25 @@ def build_buggy_store() -> LogStore:
 
 class TestBugCheck:
     def test_categories(self):
-        traces = group_events(LogMiner().mine(build_buggy_store()))
+        traces = group_events(LogMiner().mine(build_buggy_store())[0])
         findings = find_unused_containers(traces)
         by_container = {f.container_id: f.category for f in findings}
         assert by_container == {GHOST: "never_launched", IDLE: "never_used"}
 
     def test_used_container_not_flagged(self):
-        traces = group_events(LogMiner().mine(build_buggy_store()))
+        traces = group_events(LogMiner().mine(build_buggy_store())[0])
         findings = find_unused_containers(traces)
         assert USED not in {f.container_id for f in findings}
 
     def test_finding_describes_observed_states(self):
-        traces = group_events(LogMiner().mine(build_buggy_store()))
+        traces = group_events(LogMiner().mine(build_buggy_store())[0])
         ghost = next(f for f in find_unused_containers(traces) if f.container_id == GHOST)
         assert "CONTAINER_RELEASED" in ghost.observed_kinds
         assert "never_launched" in ghost.describe()
 
     def test_am_container_exempt(self):
         """The AM has no FIRST_TASK by design; it must not be flagged."""
-        traces = group_events(LogMiner().mine(build_buggy_store()))
+        traces = group_events(LogMiner().mine(build_buggy_store())[0])
         assert AM not in {f.container_id for f in find_unused_containers(traces)}
 
     def test_detects_bug_on_opportunistic_run(self, opportunistic_run):

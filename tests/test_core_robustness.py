@@ -79,7 +79,7 @@ class TestClockSkew:
                 ),
             ]
         )
-        return group_events(LogMiner().mine(store))[APP]
+        return group_events(LogMiner().mine(store)[0])[APP]
 
     def test_decompose_reports_negative_span_verbatim(self, skewed_trace):
         """Decomposition is a measurement tool: it reports what the logs
@@ -120,7 +120,7 @@ class TestMultipleApplications:
                 ),
             ]
         )
-        traces = group_events(LogMiner().mine(store))
+        traces = group_events(LogMiner().mine(store)[0])
         assert set(traces) == {APP, app2}
         assert len(traces[app2].containers) == 1
         assert len(traces[APP].containers) == 0

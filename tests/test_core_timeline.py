@@ -34,7 +34,7 @@ class TestRenderTimeline:
         assert "idle (waiting for driver)" in text
 
     def test_hand_built_trace(self):
-        traces = group_events(LogMiner().mine(build_store()))
+        traces = group_events(LogMiner().mine(build_store())[0])
         text = render_timeline(traces[APP], width=40)
         assert APP in text
         assert "driver" in text and "executor-1" in text

@@ -10,12 +10,12 @@ from tests.test_core_parser import APP, EXEC, build_store
 
 
 def _mine(lines):
-    return group_events(LogMiner().mine(LogStore.from_lines(lines)))
+    return group_events(LogMiner().mine(LogStore.from_lines(lines))[0])
 
 
 class TestCleanLogs:
     def test_reference_store_is_clean(self):
-        traces = group_events(LogMiner().mine(build_store()))
+        traces = group_events(LogMiner().mine(build_store())[0])
         assert validate_traces(traces) == []
 
     def test_simulated_run_is_clean(self, single_app_run):

@@ -45,18 +45,16 @@ class TestCleanCorpus:
         """Byte-identity of the byte-oriented fast path at --jobs {1, 4}.
 
         The report (including the diagnostics ledger) must match both
-        the pinned snapshot and a live run of the legacy record-stream
-        miner.
+        the pinned snapshot and the report of the corpus read through
+        the regex reader (``LogStore.load``) and mined in memory.
         """
-        from repro.core.parser import LogMiner
+        from repro.logsys.store import LogStore
 
         checker = SDChecker(jobs=jobs)
         report = checker.analyze(GOLDEN)
         assert report.to_dict() == expected
-        legacy_checker = SDChecker(jobs=jobs)
-        legacy_checker._miner = LogMiner(fast=False)
-        legacy = legacy_checker.analyze(GOLDEN)
-        assert report.to_dict(include_diagnostics=True) == legacy.to_dict(
+        reference = checker.analyze(LogStore.load(GOLDEN))
+        assert report.to_dict(include_diagnostics=True) == reference.to_dict(
             include_diagnostics=True
         )
 

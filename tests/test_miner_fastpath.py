@@ -1,12 +1,13 @@
 """Byte-oriented fast-path tests: chunk partitioning, two-phase
-scanning, and byte-identity against the legacy record-stream miner.
+scanning, and byte-identity against the regex reader.
 
 The contract under test is exactness: for any directory corpus —
 including garbled bytes, drifted timestamps, duplicates, rotation
-segments, and adversarial chunk boundaries — ``LogMiner(fast=True)``
-must produce the same events *and the same diagnostics ledger* as
-``LogMiner(fast=False)``, serially and at any job count, for any chunk
-size.
+segments, and adversarial chunk boundaries — mining the directory must
+produce the same events *and the same diagnostics ledger* as mining
+``LogStore.load`` of it (every line through
+``LogRecord.classify_parse``), serially and at any job count, for any
+chunk size.
 """
 
 from __future__ import annotations
@@ -46,23 +47,22 @@ def _diag_dict(diagnostics):
     )
 
 
+def _reference(directory):
+    """Mining the regex reader's store of ``directory``: the reference."""
+    return LogMiner().mine(LogStore.load(directory))
+
+
 def _assert_identical(directory):
-    """Fast path == legacy, at jobs 1 and 4, whole-file and tiny chunks."""
-    legacy_events, legacy_diag = LogMiner(fast=False).mine_with_diagnostics(directory)
-    configs = (
-        (LogMiner(fast=True), 1),
-        (LogMiner(fast=True), 4),
-        (LogMiner(fast=True, **TINY), 1),
-        (LogMiner(fast=True, **TINY), 4),
-    )
-    for miner, jobs in configs:
-        if jobs == 1:
-            events, diag = miner.mine_with_diagnostics(directory)
-        else:
-            events, diag = miner.mine_parallel_with_diagnostics(directory, jobs=jobs)
-        assert events == legacy_events, f"events differ (jobs={jobs})"
-        assert _diag_dict(diag) == _diag_dict(legacy_diag), f"diag differ (jobs={jobs})"
-    return legacy_events
+    """Byte lane == reference, at jobs 1 and 4, whole-file and tiny chunks."""
+    reference_events, reference_diag = _reference(directory)
+    for miner in (LogMiner(), LogMiner(**TINY)):
+        for jobs in (1, 4):
+            events, diag = miner.mine(directory, jobs=jobs)
+            assert events == reference_events, f"events differ (jobs={jobs})"
+            assert _diag_dict(diag) == _diag_dict(reference_diag), (
+                f"diag differ (jobs={jobs})"
+            )
+    return reference_events
 
 
 def _write(tmp_path, name, lines, newline=True):
@@ -211,10 +211,8 @@ class TestFastPathIdentity:
         line = "2018-01-12 00:00:05,000 INFO x.Exec: repeated message padpad"
         early = "2018-01-12 00:00:01,000 INFO x.Exec: backwards jump padpad"
         _write(tmp_path, f"{EXEC}.log", [line, line, line, early, line, line])
-        legacy_events, legacy_diag = LogMiner(fast=False).mine_with_diagnostics(
-            tmp_path
-        )
-        stream = legacy_diag.streams[EXEC]
+        _, reference_diag = _reference(tmp_path)
+        stream = reference_diag.streams[EXEC]
         assert stream.duplicate_records == 3 and stream.out_of_order == 1
         _assert_identical(tmp_path)
 
@@ -222,7 +220,7 @@ class TestFastPathIdentity:
         line = "2018-01-12 00:00:05,000 INFO x.Exec: spans the rotation"
         _write(tmp_path, f"{EXEC}.log.1", [line])
         _write(tmp_path, f"{EXEC}.log", [line])
-        _, diag = LogMiner(fast=True).mine_with_diagnostics(tmp_path)
+        _, diag = LogMiner().mine(tmp_path)
         assert diag.streams[EXEC].duplicate_records == 1
         _assert_identical(tmp_path)
 
@@ -242,7 +240,7 @@ class TestFastPathIdentity:
         _write(tmp_path, "unknown-daemon.log", ["2018-01-12 00:00:01,000 INFO C: x"])
         events = _assert_identical(tmp_path)
         assert events == []
-        _, diag = LogMiner(fast=True).mine_with_diagnostics(tmp_path)
+        _, diag = LogMiner().mine(tmp_path)
         assert not diag.streams["unknown-daemon"].recognized
         assert diag.streams[EXEC].lines_total == 0
 
@@ -275,7 +273,7 @@ class TestFastPathIdentity:
 
 
 class TestFirstEventIndexEquivalence:
-    """Traces built from fast-path events index identically to legacy."""
+    """Traces built from fast-path events index identically to the reference."""
 
     def test_first_event_index_fast_vs_legacy(self, tmp_path):
         from repro.core.grouping import group_events
@@ -298,17 +296,17 @@ class TestFirstEventIndexEquivalence:
                 "2018-01-12 00:00:05,000 INFO x.Exec: Got assigned task 0",
             ],
         )
-        fast_traces = group_events(LogMiner(fast=True, **TINY).mine(tmp_path))
-        legacy_traces = group_events(LogMiner(fast=False).mine(tmp_path))
-        assert fast_traces.keys() == legacy_traces.keys()
+        fast_traces = group_events(LogMiner(**TINY).mine(tmp_path)[0])
+        reference_traces = group_events(_reference(tmp_path)[0])
+        assert fast_traces.keys() == reference_traces.keys()
         for app_id in fast_traces:
-            fast_trace, legacy_trace = fast_traces[app_id], legacy_traces[app_id]
+            fast_trace, reference_trace = fast_traces[app_id], reference_traces[app_id]
             for kind in EventKind:
-                assert fast_trace.first(kind) == legacy_trace.first(kind)
+                assert fast_trace.first(kind) == reference_trace.first(kind)
 
 
 class TestGateKind:
-    """Phase-1 gating must mirror the legacy per-daemon dispatch."""
+    """Every scan gates a stream by the shape of its daemon name."""
 
     @pytest.mark.parametrize(
         "daemon,expected",

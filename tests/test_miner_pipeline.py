@@ -1,9 +1,9 @@
-"""Mining-pipeline tests: streaming readers, parallel equivalence, and
-the O(1) first-event index.
+"""Mining-pipeline tests: streaming readers, parallel and store-vs-disk
+equivalence, and the O(1) first-event index.
 
 The equivalence corpus is simulator-generated (two TPC-H query apps on
-a small testbed), so serial and parallel mining are compared on exactly
-the log shapes the rest of the suite analyzes.
+a small testbed), so serial, parallel and in-memory mining are compared
+on exactly the log shapes the rest of the suite analyzes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import messages as msg
 from repro.core.events import EventKind, SchedulingEvent
 from repro.core.grouping import ApplicationTrace, ContainerTrace
-from repro.core.parser import LogMiner
+from repro.core.parser import AUTO_JOBS, LogMiner, _scan_chunk, resolve_jobs
+from repro.logsys.record import LogRecord
 from repro.logsys.store import LogStore, iter_file_lines, iter_file_records
 from repro.params import SimulationParams
 from repro.testbed import Testbed
@@ -41,31 +42,37 @@ def corpus_dir(corpus_store, tmp_path_factory):
     return directory
 
 
+def _diag_dict(diagnostics):
+    return {d: stream.to_dict() for d, stream in diagnostics.streams.items()}
+
+
 class TestParallelEquivalence:
-    """mine() == mine_parallel(jobs=1) == mine_parallel(jobs=4)."""
+    """mine(jobs=1) == mine(jobs=4) == mine(jobs="auto"), store == directory."""
 
     def test_store_source_event_for_event(self, corpus_store):
         miner = LogMiner()
-        serial = miner.mine(corpus_store)
+        serial, _ = miner.mine(corpus_store)
         assert serial, "corpus mined no events"
-        assert miner.mine_parallel(corpus_store, jobs=1) == serial
-        assert miner.mine_parallel(corpus_store, jobs=4) == serial
+        assert miner.mine(corpus_store, jobs=4)[0] == serial
+        assert miner.mine(corpus_store, jobs=AUTO_JOBS)[0] == serial
 
     def test_directory_source_event_for_event(self, corpus_dir):
         miner = LogMiner()
-        serial = miner.mine(corpus_dir)
+        serial, diagnostics = miner.mine(corpus_dir)
         assert serial, "corpus mined no events"
-        assert miner.mine_parallel(corpus_dir, jobs=1) == serial
-        assert miner.mine_parallel(corpus_dir, jobs=4) == serial
+        for jobs in (1, 4):
+            events, parallel_diagnostics = miner.mine(corpus_dir, jobs=jobs)
+            assert events == serial
+            assert _diag_dict(parallel_diagnostics) == _diag_dict(diagnostics)
 
     def test_directory_agrees_with_store(self, corpus_store, corpus_dir):
-        # Dumping to disk and re-mining must not change the events
-        # (modulo the millisecond quantization both sides share).
-        from_store = LogMiner().mine(corpus_store)
-        from_dir = LogMiner().mine(corpus_dir)
-        assert [
-            (e.kind, e.app_id, e.container_id, e.daemon) for e in from_store
-        ] == [(e.kind, e.app_id, e.container_id, e.daemon) for e in from_dir]
+        # Records are stamped with the millisecond their line renders
+        # to, so dumping to disk and re-mining changes nothing: not the
+        # events, not their timestamps, not the ledger.
+        from_store, store_diagnostics = LogMiner().mine(corpus_store)
+        from_dir, dir_diagnostics = LogMiner().mine(corpus_dir)
+        assert from_store == from_dir
+        assert _diag_dict(store_diagnostics) == _diag_dict(dir_diagnostics)
 
     def test_jobs_do_not_change_downstream_analysis(self, corpus_dir):
         from repro.core.checker import SDChecker
@@ -76,6 +83,62 @@ class TestParallelEquivalence:
         assert [a.total_delay for a in serial.apps] == [
             a.total_delay for a in parallel.apps
         ]
+
+
+class TestStoreMinesInProcess:
+    """Regression: an in-memory store never starts a worker pool.
+
+    Shipping a store's records to per-daemon workers measured 4-6x
+    slower than mining them in place, at every size tried, and
+    ``jobs="auto"`` used to pick that pool above 150k records.
+    """
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        import repro.core.parser as parser_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ProcessPoolExecutor was started")
+
+        monkeypatch.setattr(parser_mod, "ProcessPoolExecutor", refuse)
+        # Make "auto" pick workers for anything a pool could serve.
+        monkeypatch.setattr(parser_mod, "available_cpus", lambda: 8)
+        monkeypatch.setattr(parser_mod, "AUTO_SERIAL_THRESHOLD_LINES", 0)
+
+    @pytest.mark.parametrize("jobs", [4, AUTO_JOBS])
+    def test_store_mining_never_starts_a_pool(self, corpus_store, no_pool, jobs):
+        from repro.core.checker import SDChecker
+
+        assert resolve_jobs(jobs, corpus_store) == 1
+        events, _ = LogMiner().mine(corpus_store, jobs=jobs)
+        assert events
+        assert SDChecker(jobs=jobs).analyze(corpus_store).apps
+
+    def test_the_guard_catches_a_pool(self, corpus_dir, no_pool):
+        with pytest.raises(AssertionError, match="ProcessPoolExecutor"):
+            LogMiner().mine(corpus_dir, jobs=2)
+
+
+class TestTimestampSemantics:
+    """A logged record carries the timestamp its rendered line mines to."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=86_400.0 * 10))
+    def test_logged_timestamp_is_the_rendered_one(self, seconds):
+        store = LogStore()
+        record = store.logger(CONTAINER, lambda: seconds).info("x.Exec", "started")
+        line = record.render()
+        assert line == LogRecord(seconds, "x.Exec", "started").render()
+        assert LogRecord.parse(line).timestamp == record.timestamp
+        # The byte lane reads the same float off the line ...
+        _events, _counters, first_key, _last = _scan_chunk(
+            CONTAINER, "container", line.encode("ascii") + b"\n"
+        )
+        assert first_key[0] == record.timestamp
+        # ... and mining the store in memory keeps it.
+        events, _ = LogMiner().mine(store)
+        assert events[0].kind is EventKind.INSTANCE_FIRST_LOG
+        assert events[0].timestamp == record.timestamp
 
 
 class TestStreamingReaders:
@@ -237,7 +300,7 @@ class TestFormatDriftTolerance:
         (tmp_path / "hadoop-resourcemanager.log").write_text(
             "\n".join(self.RM_LINES) + "\n"
         )
-        events, diagnostics = LogMiner().mine_with_diagnostics(tmp_path)
+        events, diagnostics = LogMiner().mine(tmp_path)
         # The drifted ACCEPTED line is gone; its neighbours survive.
         kinds = [e.kind for e in events]
         assert kinds == [EventKind.APP_SUBMITTED, EventKind.APP_ATTEMPT_REGISTERED]
@@ -250,7 +313,7 @@ class TestFormatDriftTolerance:
         store = LogStore.from_lines(
             ("hadoop-resourcemanager", line) for line in self.RM_LINES
         )
-        events, diagnostics = LogMiner().mine_with_diagnostics(store)
+        events, diagnostics = LogMiner().mine(store)
         assert len(events) == 2
         assert (
             diagnostics.streams["hadoop-resourcemanager"].dropped_bad_timestamp == 1

@@ -185,16 +185,16 @@ class TestMinerMmapToggle:
     """LogMiner output is invariant under REPRO_MMAP, incl. rotation."""
 
     def _mine_both(self, directory, monkeypatch):
-        miner = LogMiner(fast=True, split_threshold=64, chunk_target=48)
+        miner = LogMiner(split_threshold=64, chunk_target=48)
         monkeypatch.setenv(MMAP_ENV_VAR, "1")
         assert mmap_enabled()
-        with_mmap = miner.mine_with_diagnostics(str(directory))
-        with_mmap_par = miner.mine_parallel(str(directory), jobs=2)
+        with_mmap = miner.mine(str(directory))
+        with_mmap_par = miner.mine(str(directory), jobs=2)
         monkeypatch.setenv(MMAP_ENV_VAR, "0")
         assert not mmap_enabled()
-        without = miner.mine_with_diagnostics(str(directory))
+        without = miner.mine(str(directory))
         assert with_mmap[0] == without[0]
-        assert with_mmap_par == without[0]
+        assert with_mmap_par[0] == without[0]
         return with_mmap
 
     def test_rotation_segments(self, tmp_path, monkeypatch):

@@ -35,13 +35,18 @@ def snapshot_path(name: str) -> Path:
     return DATA / f"scenario_{name.replace('-', '_')}_expected.json"
 
 
+def report_json(report) -> str:
+    """The report with its diagnostics ledger, as canonical JSON."""
+    return json.dumps(report.to_dict(include_diagnostics=True), sort_keys=True)
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """Each preset simulated once at its pinned seed (shared by tests).
 
     Yields ``name -> (ScenarioRun, dumped-log directory)``; the
     snapshots pin the *dumped* logs (millisecond log4j timestamps),
-    so comparisons mine the directory, not the in-memory store.
+    which the in-memory store must mine to byte for byte.
     """
     out = {}
     for name in PRESETS:
@@ -75,6 +80,13 @@ class TestSnapshots:
         assert blob(sequential) == blob(parallel)
         expected = json.loads(snapshot_path(name).read_text())
         assert parallel.to_dict() == expected
+
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_in_memory_report_equals_dumped_report(self, name, runs):
+        """Mining the run's store == mining its dumped logs, ledger included."""
+        run, logdir = runs[name]
+        assert report_json(run.report) == report_json(SDChecker(jobs=1).analyze(logdir))
 
 
 class TestAcceptanceProperties:

@@ -13,15 +13,20 @@ Three families of properties, Hypothesis-driven:
   Table I′ breakdown telescopes: every component is present and
   non-negative, and the components sum exactly to the end-to-end
   scheduling delay.
+* **One timestamp semantics** — for generated scenarios and for the
+  presets at drawn seeds, the report mined from the in-memory store
+  equals the report mined from its dumped logs, diagnostics included.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.checker import SDChecker
 from repro.core.decompose import BREAKDOWN_COMPONENTS
 from repro.simul.distributions import RandomSource
 from repro.workloads.scenarios import (
@@ -30,6 +35,8 @@ from repro.workloads.scenarios import (
     Scenario,
     TenantSpec,
     diurnal_arrivals,
+    get_scenario,
+    list_scenarios,
     mmpp_arrivals,
     poisson_arrivals,
 )
@@ -129,6 +136,18 @@ def scenarios(draw) -> Scenario:
     )
 
 
+def _report_json(report) -> str:
+    return json.dumps(report.to_dict(include_diagnostics=True), sort_keys=True)
+
+
+def _assert_store_mines_like_its_dump(run, directory) -> None:
+    """Dump the run's logs to ``directory``; its in-memory report must
+    equal the dumped logs' report, diagnostics included."""
+    run.testbed.dump_logs(directory)
+    dumped = SDChecker(jobs=1).analyze(directory)
+    assert _report_json(run.report) == _report_json(dumped)
+
+
 class TestGeneratedScenarios:
     @given(data=st.data())
     @_SCENARIO_SETTINGS
@@ -138,7 +157,7 @@ class TestGeneratedScenarios:
         for i in range(2):
             run = scenario.run()
             out = tmp_path_factory.mktemp("gen") / f"run{i}"
-            run.testbed.dump_logs(out)
+            _assert_store_mines_like_its_dump(run, out)
             dirs.append(out)
         a, b = (sorted(d.iterdir()) for d in dirs)
         assert [p.name for p in a] == [p.name for p in b]
@@ -157,3 +176,11 @@ class TestGeneratedScenarios:
             assert all(p is not None for p in parts), app.app_id
             assert all(p >= 0 for p in parts), app.app_id
             assert sum(parts) == pytest.approx(app.total_delay, abs=1e-9)
+
+
+class TestStoreMatchesDump:
+    @given(name=st.sampled_from(list_scenarios()), seed=SEEDS)
+    @_SCENARIO_SETTINGS
+    def test_preset_at_drawn_seed(self, name, seed, tmp_path_factory):
+        run = get_scenario(name).run(seed)
+        _assert_store_mines_like_its_dump(run, tmp_path_factory.mktemp("preset"))
