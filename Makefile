@@ -22,10 +22,10 @@ bench-paper:
 bench-miner:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_miner_throughput.py -q -s
 
-# Memory-path benchmark at multi-GB scale: generates a seeded corpus
-# straight to disk and times mmap windows vs read(2) vs --jobs 4 over
-# the same bytes.  Size with REPRO_LARGE_MB (default 2048); appends a
-# point to benchmarks/results/BENCH_miner.json.
+# Miner benchmark at multi-GB scale: generates a seeded corpus straight
+# to disk and times serial vs --jobs 4 mining over the same bytes.
+# Size with REPRO_LARGE_MB (default 2048); appends a point to
+# benchmarks/results/BENCH_miner.json.
 bench-miner-large:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_miner_large.py -q -s
 

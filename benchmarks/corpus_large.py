@@ -2,10 +2,9 @@
 
 ``benchmarks/test_miner_throughput.py`` builds its corpus in a
 :class:`~repro.logsys.store.LogStore` and dumps it — fine at ~500k
-lines, impossible at the multi-GB scale where the mmap-vs-read(2)
-question actually matters (a multi-GB corpus cannot be materialized in
-memory first, and the interesting regime is precisely the one where
-the kernel page cache and copy volume dominate).
+lines, impossible at multi-GB scale, where a corpus cannot be
+materialized in memory first and the kernel page cache and copy volume
+decide what serial and parallel mining cost.
 
 :func:`generate_large_corpus` therefore renders log4j text directly
 into ``<daemon>.log`` files, reusing the exact line shapes of the
@@ -17,8 +16,8 @@ just at whatever byte size the caller asks for.
 Determinism: the generator is fully seeded (`random.Random(seed)`)
 and clocked by a counter, so a ``(target_bytes, seed)`` pair always
 produces byte-identical files — the large benchmark's serial/parallel
-and mmap/read(2) equivalence checks compare runs over one fixed
-corpus, and re-runs are reproducible across machines.
+equivalence check compares runs over one fixed corpus, and re-runs are
+reproducible across machines.
 """
 
 from __future__ import annotations

@@ -184,9 +184,8 @@ def test_miner_throughput(benchmark, scale, tmp_path):
         # Chunk parallelism must win outright wherever there is a
         # second CPU to scale onto; on a single-CPU runner the pool can
         # only lose, and the recorded point documents that honestly
-        # instead.  The wire-format transfer (repro.core.wire) is what
-        # makes this bar holdable: per-event pickle used to eat the
-        # whole speedup on small corpora.
+        # instead.  Workers return their scan tuples, which
+        # Executor.map pickles back to the parent.
         assert parallel_ratio > 1.0, (
             f"--jobs 4 only {parallel_ratio:.2f}x over the serial fast path"
         )

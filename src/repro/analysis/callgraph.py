@@ -128,7 +128,7 @@ class FunctionInfo:
 
     @property
     def short_name(self) -> str:
-        """``LiveSession.poll`` / ``tail_chunk`` — human-sized label."""
+        """``LiveSession.poll`` / ``read_chunk`` — human-sized label."""
         parts = self.qualname.split(".")
         if self.cls is not None:
             return ".".join(parts[-2:])

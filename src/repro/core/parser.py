@@ -47,12 +47,14 @@ pipeline over raw ``bytes`` chunks:
 Parallelism is by deterministic byte-offset chunk: files above
 :data:`~repro.logsys.store.FAST_SPLIT_THRESHOLD` are partitioned at
 line boundaries (:func:`~repro.logsys.store.partition_file` /
-:func:`~repro.logsys.store.read_chunk`), chunks are mined
-independently, and results are merged in (stream, segment, offset)
-order.  Per-stream state that spans chunks — the positional FIRST_LOG,
-first-occurrence FIRST_TASK / MR_TASK_DONE, and the duplicate /
-out-of-order ledger across chunk boundaries — is reconstructed by the
-merge, which is shared verbatim by the serial and parallel paths:
+:func:`~repro.logsys.store.read_chunk`, the one chunk reader on both
+paths), chunks are mined independently, a worker's scan tuple comes
+back through ``Executor.map``'s ordinary pickling, and results are
+merged in (stream, segment, offset) order.  Per-stream state that
+spans chunks — the positional FIRST_LOG, first-occurrence FIRST_TASK /
+MR_TASK_DONE, and the duplicate / out-of-order ledger across chunk
+boundaries — is reconstructed by the merge, which is shared verbatim
+by the serial and parallel paths:
 serial, ``--jobs N``, and any chunking of the same files produce
 byte-identical reports.  A store always mines in-process: its records
 already live here, and shipping them to workers was never faster.
@@ -85,21 +87,18 @@ from repro.logsys.record import (
     TimestampMemo,
     classify_head_bytes,
 )
-from repro.core.wire import decode_scan, encode_scan
 from repro.logsys.store import (
     FAST_CHUNK_TARGET,
     FAST_SPLIT_THRESHOLD,
-    ChunkReader,
     LogStore,
     partition_file,
-    read_chunk_fast,
+    read_chunk,
     stream_segments,
 )
 
 __all__ = [
     "LogMiner",
     "AUTO_JOBS",
-    "JOBS_ENV_VAR",
     "StreamEventAccumulator",
     "available_cpus",
     "resolve_jobs",
@@ -112,11 +111,6 @@ _CONTAINER_DAEMON_RE = msg.CONTAINER_ID_RE
 #: Sentinel accepted wherever a job count is taken: pick the worker
 #: count from the machine and the corpus via :func:`resolve_jobs`.
 AUTO_JOBS = "auto"
-
-#: Environment override consulted when the jobs request is ``auto``:
-#: ``serial``, ``auto``, or a positive worker count.  An explicit
-#: ``--jobs N`` flag always beats it (CLI flag > env > auto).
-JOBS_ENV_VAR = "REPRO_JOBS"
 
 #: Corpora below this many (estimated) lines mine faster serially than
 #: they can amortize ProcessPoolExecutor spin-up and teardown (~100 ms
@@ -257,16 +251,13 @@ class LogMiner:
             tasks.extend(chunks)
         if jobs <= 1 or len(tasks) <= 1:
             # Serial: one memo pair spans the whole run, so a timestamp
-            # second or head seen in any stream stays warm for the next;
-            # one ChunkReader maps each file once, and chunks arrive as
-            # zero-copy memoryview windows over the mapped pages.  The
-            # generator keeps at most one chunk's lines materialized.
-            reader = ChunkReader()
+            # second or head seen in any stream stays warm for the next.
+            # The generator keeps at most one chunk's lines materialized.
             ts_memo = TimestampMemo()
             head_memo: dict = {}
             scans = (
                 _scan_chunk(
-                    daemon, gate, reader.chunk(path, start, end), ts_memo, head_memo
+                    daemon, gate, read_chunk(path, start, end), ts_memo, head_memo
                 )
                 for daemon, gate, path, start, end in tasks
             )
@@ -275,13 +266,11 @@ class LogMiner:
         chunksize = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # Executor.map preserves input order: the merge is
-            # deterministic no matter which worker finishes first.
-            # Workers return one pickle-free wire blob per chunk
-            # (struct-packed events + interned strings), and the blobs
-            # are decoded lazily as the merge consumes them — the
-            # parent stitches chunk N while workers still scan N+1.
-            blobs = _pool_map(pool, _mine_chunk_task, tasks, chunksize=chunksize)
-            return _merge_plans(plans, (decode_scan(blob) for blob in blobs))
+            # deterministic no matter which worker finishes first, and
+            # it consumes results lazily — the parent stitches chunk N
+            # while workers still scan N+1.
+            scans = _pool_map(pool, _mine_chunk_task, tasks, chunksize=chunksize)
+            return _merge_plans(plans, scans)
 
 
 def _mine_store(store: LogStore) -> Tuple[List[SchedulingEvent], MiningDiagnostics]:
@@ -414,46 +403,10 @@ def _scan_records(
     )
 
 
-#: Block size for materializing a mapped memoryview's lines: big enough
-#: that per-block overhead vanishes, small enough that the transient
-#: beyond the line objects themselves is ~1 MiB.
-_SCAN_BLOCK = 1 << 20
-
-
-def _split_view_lines(view: memoryview) -> List[bytes]:
-    """The lines of an mmap-backed chunk window, materialized blockwise.
-
-    Equivalent to ``bytes(view).split(b"\\n")`` with the trailing
-    terminator popped, minus the whole-window intermediate copy: line
-    objects are built in :data:`_SCAN_BLOCK`-sized blocks straight from
-    the mapped pages, so each line's bytes are copied exactly once
-    (page cache → line object) and only the block-straddling partial
-    line (the carry) is ever re-copied.
-    """
-    view = memoryview(view)
-    total = view.nbytes
-    lines: List[bytes] = []
-    extend = lines.extend
-    carry = b""
-    position = 0
-    while position < total:
-        stop = min(position + _SCAN_BLOCK, total)
-        block = bytes(view[position:stop])
-        position = stop
-        if carry:
-            block = carry + block
-        split = block.split(b"\n")
-        carry = split.pop()  # partial last line (b"" on a newline cut)
-        extend(split)
-    if carry:  # the file's unterminated tail line
-        lines.append(carry)
-    return lines
-
-
 def _scan_chunk(
     daemon: str,
     gate: Optional[str],
-    buf: Union[bytes, memoryview],
+    buf: bytes,
     ts_memo: Optional[TimestampMemo] = None,
     head_memo: Optional[dict] = None,
 ) -> Tuple[List[tuple], Tuple[int, ...], Optional[tuple], Optional[tuple]]:
@@ -480,14 +433,9 @@ def _scan_chunk(
         ts_memo = TimestampMemo()
     if head_memo is None:
         head_memo = {}
-    if type(buf) is bytes:
-        lines = buf.split(b"\n")
-        if lines and lines[-1] == b"":
-            lines.pop()  # terminator of the final line, not an empty line
-    else:
-        # An mmap-backed chunk window: lines come straight off the
-        # mapped pages, no whole-buffer bytes copy in between.
-        lines = _split_view_lines(buf)
+    lines = buf.split(b"\n")
+    if lines and lines[-1] == b"":
+        lines.pop()  # terminator of the final line, not an empty line
     events: List[tuple] = []
     parsed = garbled = bad_ts = replacements = dups = ooo = 0
     # State of the previous *parsed* record for the duplicate /
@@ -700,17 +648,15 @@ def _scan_chunk(
     return events, counters, first_key, last_key
 
 
-def _mine_chunk_task(task: _ChunkTask) -> bytes:
-    """Worker entry point: read, scan, and wire-encode one chunk.
+def _mine_chunk_task(task: _ChunkTask) -> tuple:
+    """Worker entry point: read and scan one chunk.
 
-    Module-level for pickling.  The chunk is read through the
-    mmap-backed window (falling back to ``read()`` where unmappable)
-    and the scan crosses the process boundary as one flat
-    :func:`~repro.core.wire.encode_scan` blob — no per-tuple pickling,
-    no repeated strings — which the parent decodes during the merge.
+    Module-level for pickling.  The scan holds only lists, tuples,
+    strings and numbers, so ``Executor.map`` pickles it back to the
+    parent as is.
     """
     daemon, gate, path, start, end = task
-    return encode_scan(_scan_chunk(daemon, gate, read_chunk_fast(path, start, end)))
+    return _scan_chunk(daemon, gate, read_chunk(path, start, end))
 
 
 class StreamEventAccumulator:
@@ -912,34 +858,6 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _jobs_from_env() -> Union[int, str, None]:
-    """The :data:`JOBS_ENV_VAR` override, validated, or None when unset.
-
-    Accepted values: ``serial`` (force one worker), ``auto`` (the
-    machine/corpus heuristic), or a positive worker count.  Anything
-    else raises — a silently ignored operator override is worse than a
-    loud one.
-    """
-    raw = os.environ.get(JOBS_ENV_VAR)
-    if raw is None:
-        return None
-    value = raw.strip().lower()
-    if value == "serial":
-        return 1
-    if value == AUTO_JOBS:
-        return AUTO_JOBS
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(
-            f"{JOBS_ENV_VAR} must be 'serial', 'auto', or a positive "
-            f"worker count, got {raw!r}"
-        )
-    return count
-
-
 def resolve_jobs(
     jobs: Union[int, str], source: Union[LogStore, str, Path]
 ) -> int:
@@ -949,11 +867,8 @@ def resolve_jobs(
     in this process, and shipping them to workers measured 4-6x slower
     than mining them in place.
 
-    For a directory, an explicit count (the CLI's ``--jobs N``) always
-    wins; otherwise the :data:`JOBS_ENV_VAR` environment override
-    applies (``serial`` / ``auto`` / a count), so operators can tune
-    mining parallelism fleet-wide without editing flags; otherwise
-    ``auto``.
+    For a directory, an explicit count (the CLI's ``--jobs N``) is
+    used as is.
 
     ``auto`` picks serial mining unless both the machine and the corpus
     can profit from workers: on a single usable CPU, workers only add
@@ -963,10 +878,6 @@ def resolve_jobs(
     """
     if isinstance(source, LogStore):
         return 1
-    if jobs == AUTO_JOBS:
-        env = _jobs_from_env()
-        if env is not None:
-            jobs = env
     if jobs != AUTO_JOBS:
         return int(jobs)
     cpus = available_cpus()

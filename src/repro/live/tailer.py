@@ -10,8 +10,9 @@ directory is still growing, by keeping one cursor per physical file:
   live file becomes ``.1``, a fresh live file appears), and inode
   identity is what survives the rename chain;
 * the live file only ever surrenders *complete* lines
-  (:func:`repro.logsys.store.tail_chunk`, the incremental half of the
-  batch reader's line-ownership protocol): bytes after the last newline
+  (:meth:`StreamTailer._advance_live`, the incremental half of the
+  batch reader's line-ownership protocol in
+  :func:`repro.logsys.store.read_chunk`): bytes after the last newline
   are a record a writer may still be mid-way through, so they are held
   back and re-read once terminated — or flushed at :meth:`drain`, when
   EOF ends the line exactly as :func:`~repro.logsys.store.iter_file_lines`
@@ -234,12 +235,14 @@ class StreamTailer:
         """Consume the live file's new complete lines, in **one** open.
 
         Folds the per-poll head-fingerprint recreation check and the
-        complete-line tail read (``tail_chunk``'s protocol) into a
-        single file open — the two separate opens per stream per poll
-        were a measurable slice of live ingest cost.  The check still
-        runs on *every* poll, even when ``size == offset``: a same-size
-        same-inode rewrite is exactly the case the fingerprint exists
-        for.
+        complete-line tail read into a single file open — the two
+        separate opens per stream per poll were a measurable slice of
+        live ingest cost.  The tail read surrenders the bytes from the
+        cursor through the last newline and holds back the partial line
+        after it; a file with no newline yet surrenders nothing.  The
+        check still runs on *every* poll, even when ``size == offset``:
+        a same-size same-inode rewrite is exactly the case the
+        fingerprint exists for.
         """
         if cursor.fp is None and size <= cursor.offset:
             return b""  # nothing to check against, nothing to read

@@ -13,41 +13,32 @@ log never has to be materialized to be mined.  :meth:`LogStore.records`
 returns a cached immutable tuple view (rebuilt only after an append),
 which makes repeated per-daemon reads O(1) instead of a list copy per
 call.
+
+Directory mining reads raw bytes instead: :func:`partition_file` cuts
+each file into byte ranges by size alone, and :func:`read_chunk`, one
+seeking ``read(2)`` per range, returns exactly the lines that range
+owns.  It is the only chunk reader.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.logsys.diagnostics import StreamDiagnostics
 from repro.logsys.record import PARSE_BAD_TIMESTAMP, LogRecord, millisecond_stamp
 
-try:  # pragma: no cover - exercised indirectly by the fallback tests
-    import mmap as _mmap
-except ImportError:  # platforms built without mmap support
-    _mmap = None  # type: ignore[assignment]
-
 __all__ = [
-    "ChunkReader",
     "DaemonLogger",
     "LogStore",
-    "MMAP_ENV_VAR",
     "SealedStoreError",
-    "chunk_window",
     "iter_file_lines",
-    "map_readonly",
-    "mmap_enabled",
-    "tail_chunk",
     "iter_file_records",
     "iter_segment_records",
     "partition_file",
     "read_chunk",
-    "read_chunk_fast",
     "stream_segments",
-    "directory_glob",
     "FAST_SPLIT_THRESHOLD",
     "FAST_CHUNK_TARGET",
 ]
@@ -183,156 +174,6 @@ def read_chunk(
                 break
             parts.append(block)
         return b"".join(parts)
-
-
-#: Kill-switch for the mmap-backed chunk reader: ``REPRO_MMAP=0`` forces
-#: every chunk through the plain ``read()`` path.  Consulted at call
-#: time so benchmarks can compare both paths in one process.
-MMAP_ENV_VAR = "REPRO_MMAP"
-
-
-def mmap_enabled() -> bool:
-    """Whether chunk reads may go through ``mmap`` (default: yes)."""
-    return _mmap is not None and os.environ.get(MMAP_ENV_VAR, "1") != "0"
-
-
-def map_readonly(path: str | Path):
-    """A read-only ``mmap`` of ``path``, or ``None`` when unmappable.
-
-    The file descriptor is closed immediately — a POSIX mapping outlives
-    it — and the mapping itself is released by refcounting once the last
-    exported :func:`chunk_window` view dies.  ``None`` covers the cases
-    the fast path must fall back on: an empty file (zero-length mappings
-    raise), a filesystem that refuses to map, or a vanished path.
-    """
-    if _mmap is None:
-        return None
-    try:
-        with open(path, "rb") as handle:
-            mm = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
-    except (ValueError, OSError):
-        return None
-    try:
-        # Sequential-scan advice doubles readahead and lets the kernel
-        # drop pages behind the scan; purely an optimization, so any
-        # platform that lacks or refuses it is fine.
-        mm.madvise(_mmap.MADV_SEQUENTIAL)
-    except (AttributeError, ValueError, OSError):
-        pass
-    return mm
-
-
-def chunk_window(mm, start: int, end: int) -> memoryview:
-    """Zero-copy :func:`read_chunk` over a mapping: the owned lines of
-    ``[start, end)`` as a ``memoryview`` window.
-
-    Implements the same line-ownership protocol — one byte of
-    lookbehind decides whether a line starts exactly at ``start``, and
-    a line straddling ``end`` is extended to its newline (or EOF) — but
-    with ``mm.find`` boundary probes instead of read+copy, so no
-    intermediate buffer is materialized.  The returned view keeps the
-    mapping alive; the bytes it exposes are exactly
-    ``read_chunk(path, start, end)``.
-    """
-    size = len(mm)
-    end = min(end, size)
-    if end <= start:
-        return memoryview(b"")
-    if start == 0:
-        first = 0
-    elif mm[start - 1] == 0x0A:  # a line starts exactly at `start`
-        first = start
-    else:
-        # Mid-line: the straddling line is owned upstream.  Our first
-        # owned line starts after the next newline — at or past `end`
-        # means this range owns nothing.
-        newline_at = mm.find(b"\n", start, end)
-        if newline_at < 0 or newline_at + 1 >= end:
-            return memoryview(b"")
-        first = newline_at + 1
-    if end == size or mm[end - 1] == 0x0A:
-        last = end
-    else:
-        # Complete the line that straddles `end` (EOF also ends it).
-        newline_at = mm.find(b"\n", end)
-        last = size if newline_at < 0 else newline_at + 1
-    return memoryview(mm)[first:last]
-
-
-def read_chunk_fast(path: str | Path, start: int, end: int) -> Union[bytes, memoryview]:
-    """:func:`read_chunk`, mmap-backed when possible.
-
-    Returns a zero-copy ``memoryview`` window over the file's mapped
-    pages, or plain :func:`read_chunk` bytes when mapping is off
-    (``REPRO_MMAP=0``), unavailable, or impossible (empty file).
-    Either return value scans byte-identically.
-    """
-    if mmap_enabled():
-        mm = map_readonly(path)
-        if mm is not None:
-            return chunk_window(mm, start, end)
-    return read_chunk(path, start, end)
-
-
-class ChunkReader:
-    """Chunk windows with the *current* file's mapping cached.
-
-    The serial fast path scans a directory file-by-file, so the reader
-    holds exactly one mapping — the file whose ~4 MiB ranges are
-    arriving — and drops it the moment the scan moves to the next
-    file.  Dropping promptly is what keeps mmap competitive at
-    multi-GB scale: caching every mapping for the whole pass leaves
-    the entire corpus resident in the process (page-table and TLB
-    growth that made the mapped path *slower* than read(2) past
-    ~1 GiB), while a single slot bounds resident mapped memory by one
-    file.  Files that cannot be mapped (or a run with
-    ``REPRO_MMAP=0``) fall back to :func:`read_chunk` per chunk.  The
-    displaced mapping is freed by refcounting once the last chunk
-    window handed out over it dies.
-    """
-
-    __slots__ = ("_key", "_mm", "_enabled")
-
-    def __init__(self):
-        self._key: Optional[str] = None
-        self._mm: Optional[object] = None
-        self._enabled = mmap_enabled()
-
-    def chunk(self, path: str | Path, start: int, end: int) -> Union[bytes, memoryview]:
-        if not self._enabled:
-            return read_chunk(path, start, end)
-        key = str(path)
-        if key != self._key:
-            self._key = key
-            self._mm = map_readonly(key)
-        if self._mm is None:
-            return read_chunk(path, start, end)
-        return chunk_window(self._mm, start, end)
-
-
-def tail_chunk(path: str | Path, offset: int, size: int) -> Tuple[bytes, int]:
-    """The *complete* lines appended to ``path`` in ``[offset, size)``.
-
-    The incremental half of :func:`read_chunk`'s line-ownership
-    protocol, for a file that is still growing: returns ``(buf,
-    new_offset)`` where ``buf`` runs from ``offset`` (which must sit at
-    a line start) through the final newline at or before ``size``, and
-    ``new_offset`` is the byte after that newline.  The trailing
-    partial line — bytes after the last newline — is *held back*: a
-    writer may still be mid-record, so those bytes are not yet a line.
-    The tailer re-reads them once the terminating newline lands (or
-    flushes them at drain time, when EOF itself ends the line, exactly
-    as :func:`iter_file_lines` treats an unterminated tail).
-    """
-    if size <= offset:
-        return b"", offset
-    with open(path, "rb") as handle:
-        handle.seek(offset)
-        buf = handle.read(size - offset)
-    newline_at = buf.rfind(b"\n")
-    if newline_at < 0:
-        return b"", offset
-    return buf[: newline_at + 1], offset + newline_at + 1
 
 
 def iter_file_records(
@@ -582,7 +423,3 @@ class LogStore:
                 diagnostics.dropped_garbled += 1
         return store
 
-
-def directory_glob(directory: str | Path) -> List[Path]:
-    """The ``*.log`` files of one log directory (unsorted)."""
-    return [p for p in Path(directory).glob("*.log") if p.is_file()]

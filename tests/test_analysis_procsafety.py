@@ -200,9 +200,9 @@ class TestSD502SlotsContract:
         assert rules_of({"repro/s.py": source}) == []
 
     def test_bytes_wire_blob_return_is_clean(self):
-        # The miner's workers ship encoded wire blobs (plain ``bytes``)
-        # across the pool boundary — a builtin return type must never
-        # trip the slots-contract rule.
+        # A builtin return type (here plain ``bytes``) crossing the pool
+        # boundary must never trip the slots-contract rule, which only
+        # concerns project classes named in the return annotation.
         source = _POOL_IMPORT + self.BARE + (
             "def work(task) -> bytes:\n"
             "    return bytes(task)\n"

@@ -10,7 +10,6 @@ from repro.logsys.store import (
     SealedStoreError,
     iter_file_records,
     stream_segments,
-    tail_chunk,
 )
 
 
@@ -315,35 +314,3 @@ class TestSealedStoreError:
         store._streams.setdefault("d", [])
         store.append("d", LogRecord(1.0, "C", "fine"))
         assert len(store.records("d")) == 1
-
-
-class TestTailChunk:
-    """tail_chunk only surrenders complete lines; the tail is held back."""
-
-    def test_complete_lines_are_returned(self, tmp_path):
-        path = tmp_path / "d.log"
-        path.write_bytes(b"one\ntwo\n")
-        buf, offset = tail_chunk(path, 0, 8)
-        assert buf == b"one\ntwo\n" and offset == 8
-
-    def test_partial_tail_is_held_back(self, tmp_path):
-        path = tmp_path / "d.log"
-        path.write_bytes(b"one\ntwo\npart")
-        buf, offset = tail_chunk(path, 0, 12)
-        assert buf == b"one\ntwo\n" and offset == 8
-        # The writer finishes the line; the next call picks it up whole.
-        path.write_bytes(b"one\ntwo\npartial line\n")
-        buf, offset = tail_chunk(path, offset, 21)
-        assert buf == b"partial line\n" and offset == 21
-
-    def test_no_newline_yet_means_no_bytes(self, tmp_path):
-        path = tmp_path / "d.log"
-        path.write_bytes(b"still typing")
-        buf, offset = tail_chunk(path, 0, 12)
-        assert buf == b"" and offset == 0
-
-    def test_offset_resumes_mid_file(self, tmp_path):
-        path = tmp_path / "d.log"
-        path.write_bytes(b"a\nb\nc\n")
-        buf, offset = tail_chunk(path, 2, 6)
-        assert buf == b"b\nc\n" and offset == 6
