@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-miner bench-miner-large bench-live bench-calibrate bench-paper examples fuzz-smoke live-smoke live-shard-smoke scenario-smoke calibrate-smoke lint sanitize clean
+.PHONY: install test bench bench-miner bench-miner-large bench-live bench-calibrate bench-sim bench-paper examples fuzz-smoke live-smoke live-shard-smoke scenario-smoke calibrate-smoke lint sanitize clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -66,6 +66,12 @@ calibrate-smoke:
 # benchmarks/results/BENCH_calibrate.json.
 bench-calibrate:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_calibrate_throughput.py -q -s
+
+# Simulator performance: kernel and fair-share throughput, and the
+# scaling bar (steps/s at 8 diurnal-burst apps within 1.3x of steps/s
+# at 240, both timed in one process, so runner speed cancels out).
+bench-sim:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_simulator_performance.py -q -s
 
 # Seeded corruption sweep over the golden corpus: every catalog
 # corruption x seed must leave analyze() crash-free, and the

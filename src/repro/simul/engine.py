@@ -59,7 +59,7 @@ class Event:
     waiting process unless marked :attr:`defused`.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled", "defused")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "defused")
 
     #: Sentinel for "no value yet".
     _PENDING = object()
@@ -71,7 +71,6 @@ class Event:
         self.callbacks: Optional[list] = []
         self._value: Any = Event._PENDING
         self._ok: bool = True
-        self._scheduled = False
         #: Set to True when a failure has been handled and should not be
         #: re-raised by the simulator at the end of the run.
         self.defused = False
@@ -366,7 +365,6 @@ class Simulator:
     def _enqueue(self, event: Event, delay: float, priority: int = NORMAL) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
-        event._scheduled = True
         heapq.heappush(self._heap, (self._now + delay, priority, next(self._seq), event))
 
     # -- execution -------------------------------------------------------

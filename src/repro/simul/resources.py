@@ -172,6 +172,10 @@ class FairShareResource:
         self.capacity = float(capacity)
         self.name = name
         self._flows: list[FlowHandle] = []
+        #: ``sum`` of the active flows' demands, recomputed whenever
+        #: ``_flows`` changes (never adjusted incrementally, so it is
+        #: the same float a fresh sum would give).
+        self._total_demand: float = 0
         self._last_update = 0.0
         self._generation = 0
 
@@ -184,7 +188,7 @@ class FairShareResource:
     @property
     def total_demand(self) -> float:
         """Sum of demand across active jobs."""
-        return sum(f.demand for f in self._flows)
+        return self._total_demand
 
     def utilization(self) -> float:
         """Fraction of capacity in use right now (0..1)."""
@@ -213,6 +217,7 @@ class FairShareResource:
             return done
         self._advance()
         self._flows.append(FlowHandle(work, float(demand), done, self.sim.now))
+        self._total_demand = sum(f.demand for f in self._flows)
         self._reschedule()
         return done
 
@@ -226,39 +231,53 @@ class FairShareResource:
         return demand * self.capacity / total
 
     # -- internals -------------------------------------------------------
-    def _rate(self, flow: FlowHandle, total_demand: float) -> float:
-        if total_demand <= self.capacity:
-            return flow.demand
-        return flow.demand * self.capacity / total_demand
+    # A flow's rate is ``flow.demand`` when ``total <= capacity`` and
+    # ``flow.demand * capacity / total`` otherwise.  _advance and
+    # _reschedule spell it out inline, always in that operation order:
+    # work and ETA floats become rendered log timestamps, so reordering
+    # the arithmetic can move a logged millisecond.  A reference test in
+    # tests/test_simul_resources.py pins the results bit for bit.
 
     def _advance(self) -> None:
         """Charge elapsed time against every active flow."""
         now = self.sim.now
         dt = now - self._last_update
         self._last_update = now
-        if dt <= 0 or not self._flows:
+        flows = self._flows
+        if dt <= 0 or not flows:
             return
-        total = self.total_demand
-        for flow in self._flows:
-            flow.work -= self._rate(flow, total) * dt
+        total = self._total_demand
+        cap = self.capacity
+        if total <= cap:
+            for flow in flows:
+                flow.work -= flow.demand * dt
+        else:
+            for flow in flows:
+                flow.work -= flow.demand * cap / total * dt
         # Complete flows whose work reached zero.  The tolerance must
         # absorb FP error of work/rate round-trips on byte-scale work
         # (~1e-7 absolute); 1e-6 units is < 1 ns of service for any
         # realistic rate.
-        finished = [f for f in self._flows if f.work <= 1e-6]
+        finished = [f for f in flows if f.work <= 1e-6]
         if finished:
-            self._flows = [f for f in self._flows if f.work > 1e-6]
+            self._flows = [f for f in flows if f.work > 1e-6]
+            self._total_demand = sum(f.demand for f in self._flows)
             for flow in finished:
                 flow.done.succeed(now - flow.started_at)
 
     def _reschedule(self) -> None:
         """Schedule a wake-up at the earliest projected completion."""
         self._generation += 1
-        if not self._flows:
+        flows = self._flows
+        if not flows:
             return
         gen = self._generation
-        total = self.total_demand
-        eta = min(f.work / self._rate(f, total) for f in self._flows)
+        total = self._total_demand
+        cap = self.capacity
+        if total <= cap:
+            eta = min(f.work / f.demand for f in flows)
+        else:
+            eta = min(f.work / (f.demand * cap / total) for f in flows)
         # Floor at 1 ns: an ETA below the float ULP of `now` would
         # schedule a wake-up at the same timestamp forever.
         eta = max(eta, 1e-9)

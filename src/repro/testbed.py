@@ -87,30 +87,39 @@ class Testbed:
         ``limit`` (simulated seconds) guards against deadlocked
         scenarios.  Returns the finish time of the last application.
         """
-        if not self.applications:
+        apps = self.applications
+        if not apps:
             return self.sim.now
-
-        def all_done() -> bool:
-            # Wait for *processed*, not merely triggered: callbacks on
-            # the FINISHED events (delayed-submission proxies, user
-            # hooks) must have run before we stop stepping.
-            return all(
-                a.finished is not None and a.finished.processed
-                for a in self.applications
-            )
-
-        while not all_done():
-            if self.sim.peek() > limit:
+        sim = self.sim
+        heap = sim._heap  # its head time is what ``sim.peek()`` returns
+        # ``head`` indexes the first app whose FINISHED event has not been
+        # *processed* (not merely triggered: callbacks on it, such as
+        # delayed-submission proxies and user hooks, must have run before
+        # we stop stepping).  A processed event stays processed, so the
+        # index only moves forward and the completion check costs
+        # O(steps + apps) over a whole run.  ``len(apps)`` is re-read so
+        # apps submitted mid-run are waited for.
+        head = 0
+        while True:
+            while head < len(apps):
+                finished = apps[head].finished
+                if finished is None or finished.callbacks is not None:
+                    break
+                head += 1
+            if head == len(apps):
+                return sim.now
+            if (heap[0][0] if heap else float("inf")) > limit:
                 unfinished = [
-                    str(a) for a in self.applications
+                    str(a) for a in apps
                     if a.finished is None or not a.finished.triggered
                 ]
                 raise SimulationError(
                     f"simulated time limit {limit}s exceeded; unfinished: "
                     f"{unfinished[:5]} (+{max(0, len(unfinished) - 5)} more)"
                 )
-            self.sim.step()
-        return self.sim.now
+            # Through the attribute on every step, so a wrapped
+            # ``sim.step`` (a step counter) sees each one.
+            sim.step()
 
     def run(self, until: float) -> None:
         """Advance the clock to ``until`` regardless of app completion."""

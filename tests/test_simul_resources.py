@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simul.engine import SimulationError, Simulator
-from repro.simul.resources import FairShareResource, Resource, Store
+from repro.simul.engine import Event, SimulationError, Simulator
+from repro.simul.resources import FairShareResource, FlowHandle, Resource, Store
 
 
 class TestResource:
@@ -214,3 +214,154 @@ class TestFairShareResource:
             return target.value
 
         assert run(n_competitors) >= run(0) - 1e-9
+
+
+class _ReferenceFairShare:
+    """The plain form of FairShareResource: a fresh ``sum`` of demand and
+    a ``_rate`` call per flow on every membership change.  The
+    production class caches the sum and inlines the rate; it must agree
+    with this bit for bit, since its floats become log timestamps."""
+
+    def __init__(self, sim, capacity):
+        self.sim = sim
+        self.capacity = float(capacity)
+        self._flows = []
+        self._last_update = 0.0
+        self._generation = 0
+
+    @property
+    def active_jobs(self):
+        return len(self._flows)
+
+    @property
+    def total_demand(self):
+        return sum(f.demand for f in self._flows)
+
+    def utilization(self):
+        return min(1.0, self.total_demand / self.capacity)
+
+    def slowdown(self):
+        demand = self.total_demand
+        return max(1.0, demand / self.capacity)
+
+    def submit(self, work, demand=None):
+        if work < 0:
+            raise SimulationError(f"negative work {work!r}")
+        if demand is None:
+            demand = self.capacity
+        if demand <= 0:
+            raise SimulationError(f"demand must be positive, got {demand}")
+        done = Event(self.sim)
+        if work == 0:
+            done.succeed(0.0)
+            return done
+        self._advance()
+        self._flows.append(FlowHandle(work, float(demand), done, self.sim.now))
+        self._reschedule()
+        return done
+
+    def estimated_rate(self, demand=None):
+        if demand is None:
+            demand = self.capacity
+        total = self.total_demand + demand
+        if total <= self.capacity:
+            return demand
+        return demand * self.capacity / total
+
+    def _rate(self, flow, total_demand):
+        if total_demand <= self.capacity:
+            return flow.demand
+        return flow.demand * self.capacity / total_demand
+
+    def _advance(self):
+        now = self.sim.now
+        dt = now - self._last_update
+        self._last_update = now
+        if dt <= 0 or not self._flows:
+            return
+        total = self.total_demand
+        for flow in self._flows:
+            flow.work -= self._rate(flow, total) * dt
+        finished = [f for f in self._flows if f.work <= 1e-6]
+        if finished:
+            self._flows = [f for f in self._flows if f.work > 1e-6]
+            for flow in finished:
+                flow.done.succeed(now - flow.started_at)
+
+    def _reschedule(self):
+        self._generation += 1
+        if not self._flows:
+            return
+        gen = self._generation
+        total = self.total_demand
+        eta = min(f.work / self._rate(f, total) for f in self._flows)
+        eta = max(eta, 1e-9)
+        self.sim.call_at(self.sim.now + eta, lambda: self._on_wakeup(gen))
+
+    def _on_wakeup(self, generation):
+        if generation != self._generation:
+            return
+        self._advance()
+        self._reschedule()
+
+
+def _drive(resource_cls, capacity, jobs):
+    """Run ``jobs`` (submit time, seconds of work at full capacity,
+    demand as a fraction of capacity or None) through one resource and
+    return everything observable, in the order it was observed."""
+    sim = Simulator()
+    res = resource_cls(sim, capacity)
+    trace = []
+
+    def observe(tag):
+        trace.append((
+            tag, sim.now, res.active_jobs, res.total_demand, res.slowdown(),
+            res.utilization(), res.estimated_rate(), res.estimated_rate(capacity / 3),
+        ))
+
+    def submit(index, seconds, demand_share):
+        demand = None if demand_share is None else demand_share * capacity
+        done = res.submit(seconds * capacity, demand)
+        observe(("submit", index))
+
+        def completed(ev):
+            trace.append(("done", index, ev.value, sim.now))
+            observe(("after", index))
+
+        done.callbacks.append(completed)
+
+    for index, (at, seconds, demand_share) in enumerate(jobs):
+        sim.call_at(at, lambda i=index, s=seconds, d=demand_share: submit(i, s, d))
+    sim.run()
+    return trace
+
+
+_submit_times = st.one_of(
+    st.integers(min_value=0, max_value=10).map(float),  # simultaneous arrivals
+    st.floats(min_value=0.0, max_value=50.0),
+)
+
+
+class TestFairShareMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.one_of(
+            st.floats(min_value=1.0, max_value=64.0),  # cores
+            st.floats(min_value=1e6, max_value=1.25e9),  # bytes/s
+        ),
+        jobs=st.lists(
+            st.tuples(
+                _submit_times,
+                st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=100.0)),
+                # None is "the whole capacity"; shares above 1/n of it overload.
+                st.one_of(st.none(), st.floats(min_value=0.01, max_value=2.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_bit_identical_to_reference(self, capacity, jobs):
+        expected = _drive(_ReferenceFairShare, capacity, jobs)
+        actual = _drive(FairShareResource, capacity, jobs)
+        assert sum(entry[0] == "done" for entry in expected) == len(jobs)
+        assert actual == expected

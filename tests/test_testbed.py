@@ -32,6 +32,42 @@ class TestRunControl:
         makespan = bed.run_until_all_finished(limit=5000)
         assert makespan == pytest.approx(app.finished.value)
 
+    @staticmethod
+    def _assert_all_waited_for(bed, makespan):
+        assert all(app.finished.processed for app in bed.applications)
+        assert makespan == max(app.finished.value for app in bed.applications)
+
+    def test_later_submitted_app_finishing_first(self, bed):
+        slow = make_query_app("slow", query=9)
+        fast = make_query_app("fast", query=6)
+        bed.submit(slow)
+        bed.submit(fast)
+        makespan = bed.run_until_all_finished(limit=5000)
+        assert fast.finished.value < slow.finished.value
+        self._assert_all_waited_for(bed, makespan)
+
+    def test_delayed_submission_is_waited_for(self, bed):
+        first = make_query_app("first", query=6)
+        delayed = make_query_app("delayed", query=6)
+        bed.submit(first)
+        proxy = bed.submit(delayed, delay=30.0)
+        assert delayed.finished is None  # set only once it is submitted
+        makespan = bed.run_until_all_finished(limit=5000)
+        # The delayed app was submitted after the first had finished.
+        assert first.finished.value < delayed.submitted_at
+        assert proxy.value == delayed.finished.value
+        self._assert_all_waited_for(bed, makespan)
+
+    def test_app_submitted_mid_run_is_waited_for(self, bed):
+        first = make_query_app("first", query=9)
+        late = make_query_app("late", query=9)
+        bed.submit(first)
+        bed.sim.call_at(5.0, lambda: bed.submit(late))
+        makespan = bed.run_until_all_finished(limit=5000)
+        assert late.submitted_at == 5.0
+        assert late.finished.value > first.finished.value
+        self._assert_all_waited_for(bed, makespan)
+
     def test_no_apps_is_noop(self, bed):
         assert bed.run_until_all_finished() == 0.0
 
