@@ -119,11 +119,6 @@ class Node:
         """Write demand relative to disk capacity (0 = no writes)."""
         return self.write_demand / self.disk.capacity
 
-    # -- convenience -------------------------------------------------------
-    def cpu_slowdown(self) -> float:
-        """Current CPU contention factor (1.0 = uncontended)."""
-        return self.cpu.slowdown()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Node {self.hostname} free={self.memory_available_mb}MB/"

@@ -75,11 +75,6 @@ class MiningDiagnostics:
     def out_of_order_records(self) -> int:
         return sum(s.out_of_order for s in self.streams.values())
 
-    @property
-    def incomplete_apps(self) -> List[str]:
-        """App IDs with at least one unmeasurable component, sorted."""
-        return sorted(a for a, d in self.apps.items() if d.missing_components)
-
     def degraded(self) -> bool:
         """True when this run is anything less than a pristine measurement.
 

@@ -14,7 +14,6 @@
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import sys
 import time
@@ -22,7 +21,7 @@ from typing import List, Optional
 
 from repro.live.client import LiveClient, QueryError
 from repro.live.incremental import LiveSession
-from repro.live.server import LiveServer
+from repro.live.server import OPS, LiveServer, run_in_thread
 
 __all__ = ["main", "build_arg_parser"]
 
@@ -141,19 +140,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
 
     query = sub.add_parser("query", help="one request against a running server")
-    query.add_argument(
-        "op",
-        choices=(
-            "apps",
-            "decomposition",
-            "diagnostics",
-            "metrics",
-            "metrics_state",
-            "state",
-            "drain",
-            "shutdown",
-        ),
-    )
+    query.add_argument("op", choices=OPS)
     query.add_argument(
         "app_id", nargs="?", help="application ID (decomposition only)"
     )
@@ -226,26 +213,24 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.shards > 1 or args.metrics_http_port is not None:
         return _run_serve_sharded(args)
     session = _build_session(args)
-
-    async def _serve() -> None:
-        server = LiveServer(
+    handle = run_in_thread(
+        lambda: LiveServer(
             session,
             host=args.host,
             port=args.port,
             poll_interval=args.poll_interval,
-        )
-        await server.start()
-        print(
-            f"repro.live serving {', '.join(args.logdir)} on "
-            f"{args.host}:{server.bound_port}",
-            file=sys.stderr,
-        )
-        await server.serve_until_shutdown()
-
+        ),
+        "repro-live-server",
+    )
+    print(
+        f"repro.live serving {', '.join(args.logdir)} on "
+        f"{handle.host}:{handle.port}",
+        file=sys.stderr,
+    )
     try:
-        asyncio.run(_serve())
+        handle.wait()
     except KeyboardInterrupt:
-        pass
+        handle.stop()
     return 0
 
 

@@ -52,11 +52,18 @@ from repro.core.diagnostics import MiningDiagnostics
 from repro.core.events import EventKind
 from repro.core.parser import StreamEventAccumulator, _gate_kind, _scan_chunk
 from repro.core.report import AnalysisReport
-from repro.live.metrics import MetricsRegistry, build_live_registry
+from repro.live.metrics import build_live_registry
 from repro.live.tailer import DirectoryTailer, TailChunk
 from repro.logsys.record import TimestampMemo
 
-__all__ = ["LiveMiner", "LiveSession", "CHECKPOINT_VERSION"]
+__all__ = [
+    "CHECKPOINT_VERSION",
+    "LiveMiner",
+    "LiveSession",
+    "app_rows",
+    "decomposition_entry",
+    "diagnostics_dict",
+]
 
 CHECKPOINT_VERSION = 1
 
@@ -66,6 +73,49 @@ _APP_FINISHED_VALUE = EventKind.APP_FINISHED.value
 #: histograms when the application reaches finality.
 _APP_COMPONENTS = ("allocation", "driver", "executor")
 _CONTAINER_COMPONENTS = ("acquisition", "localization", "launching")
+
+
+# -- query answers -----------------------------------------------------------
+# One builder per analytical op, shared by a session and by the sharded
+# router's merged view, so both answer with the same rows and entries.
+
+def app_rows(report: AnalysisReport, final_apps: Set[str]) -> List[dict]:
+    """The ``apps`` answer: one status row per app, in report order."""
+    return [
+        {
+            "app_id": app.app_id,
+            "status": "final" if app.app_id in final_apps else "provisional",
+            "containers": len(app.containers),
+            "total_delay": app.total_delay,
+            "job_runtime": app.job_runtime,
+        }
+        for app in report.apps
+    ]
+
+
+def decomposition_entry(
+    report: AnalysisReport, final_apps: Set[str], app_id: str
+) -> Optional[dict]:
+    """The ``decomposition`` answer for one app; ``None`` if unknown."""
+    for entry in report.to_dict()["applications"]:
+        if entry["app_id"] == app_id:
+            status = "final" if app_id in final_apps else "provisional"
+            return {"status": status, **entry}
+    return None
+
+
+def diagnostics_dict(report: AnalysisReport, tailing: dict) -> dict:
+    """The ``diagnostics`` answer: the report's ledger plus tailer counters.
+
+    ``tailing`` holds ``tail_lag_bytes``, ``resyncs``, ``rotations``,
+    ``drained`` and ``evicted_apps``, as every ``state`` payload does.
+    """
+    payload = report.diagnostics.to_dict()
+    for key in ("tail_lag_bytes", "resyncs", "rotations", "drained"):
+        payload[key] = tailing[key]
+    if tailing["evicted_apps"]:
+        payload["evicted_apps"] = tailing["evicted_apps"]
+    return payload
 
 
 class LiveMiner:
@@ -186,7 +236,6 @@ class LiveSession:
         self,
         directory: Union[str, Path, Sequence[Union[str, Path]]],
         checkpoint_path: Optional[str | Path] = None,
-        registry: Optional[MetricsRegistry] = None,
         evict_after_polls: Optional[int] = None,
         checkpoint_every_polls: int = 1,
     ):
@@ -214,7 +263,7 @@ class LiveSession:
             DirectoryTailer(path) for path in self.directories
         ]
         self.miner = LiveMiner()
-        self.metrics = registry if registry is not None else build_live_registry()
+        self.metrics = build_live_registry()
         # Per-poll counter handles, bound once: name-hashing four
         # registry lookups per chunk was measurable at poll rates.
         self._lines_counter = self.metrics.counter("repro_live_ingest_lines_total")
@@ -256,15 +305,6 @@ class LiveSession:
     def directory(self) -> Path:
         """The first (for most sessions, only) tailed directory."""
         return self.directories[0]
-
-    @property
-    def tailer(self) -> DirectoryTailer:
-        """The sole tailer of a single-directory session."""
-        if len(self.tailers) != 1:
-            raise AttributeError(
-                "session tails multiple directories; use .tailers"
-            )
-        return self.tailers[0]
 
     @property
     def tail_lag_bytes(self) -> int:
@@ -495,36 +535,25 @@ class LiveSession:
 
     def apps_payload(self) -> List[dict]:
         """The ``apps`` query: one status row per application, sorted."""
-        report = self.report()
-        return [
-            {
-                "app_id": app.app_id,
-                "status": self.app_status(app.app_id),
-                "containers": len(app.containers),
-                "total_delay": app.total_delay,
-                "job_runtime": app.job_runtime,
-            }
-            for app in report.apps
-        ]
+        return app_rows(self.report(), self._final_apps)
 
     def decomposition_payload(self, app_id: str) -> Optional[dict]:
         """The ``decomposition <app_id>`` query: one app's full breakdown."""
-        report = self.report()
-        for entry in report.to_dict()["applications"]:
-            if entry["app_id"] == app_id:
-                return {"status": self.app_status(app_id), **entry}
-        return None
+        return decomposition_entry(self.report(), self._final_apps, app_id)
 
     def diagnostics_payload(self) -> dict:
-        report = self.report()
-        payload = report.diagnostics.to_dict()
-        payload["tail_lag_bytes"] = self.tail_lag_bytes
-        payload["resyncs"] = self.resyncs
-        payload["rotations"] = self.rotations
-        payload["drained"] = self.drained
-        if self._evicted_apps:
-            payload["evicted_apps"] = self.evicted_apps
-        return payload
+        """The ``diagnostics`` query: mining ledger plus tailer counters."""
+        return diagnostics_dict(self.report(), self._tailing())
+
+    def _tailing(self) -> dict:
+        """The tailer-side keys of the ``state`` payload."""
+        return {
+            "evicted_apps": self.evicted_apps,
+            "tail_lag_bytes": self.tail_lag_bytes,
+            "resyncs": self.resyncs,
+            "rotations": self.rotations,
+            "drained": self.drained,
+        }
 
     def state_payload(self) -> dict:
         """The ``state`` op: everything a merging front end needs.
@@ -538,11 +567,7 @@ class LiveSession:
         return {
             "miner": self.miner.to_state(),
             "final_apps": sorted(self._final_apps),
-            "evicted_apps": self.evicted_apps,
-            "tail_lag_bytes": self.tail_lag_bytes,
-            "resyncs": self.resyncs,
-            "rotations": self.rotations,
-            "drained": self.drained,
+            **self._tailing(),
         }
 
     # -- checkpoint / resume -----------------------------------------------
@@ -584,7 +609,6 @@ class LiveSession:
         cls,
         path: str | Path,
         directory: Optional[Union[str, Path, Sequence[Union[str, Path]]]] = None,
-        registry: Optional[MetricsRegistry] = None,
         checkpoint_path: Optional[str | Path] = None,
         evict_after_polls: Optional[int] = None,
         checkpoint_every_polls: int = 1,
@@ -609,7 +633,6 @@ class LiveSession:
         session = cls(
             target,
             checkpoint_path=checkpoint_path,
-            registry=registry,
             evict_after_polls=evict_after_polls,
             checkpoint_every_polls=checkpoint_every_polls,
         )

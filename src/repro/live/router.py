@@ -1,10 +1,11 @@
 """The merging front end of a sharded live deployment.
 
 A :class:`RouterServer` speaks the same JSON-lines protocol as a
-single-shard :class:`~repro.live.server.LiveServer` — clients cannot
-tell the difference — but behind it sit N worker servers, each tailing
-its own slice of the log directories.  Every query fans out to all
-shards concurrently and the answers merge deterministically:
+single-shard :class:`~repro.live.server.LiveServer` — the same op table
+and the same answer builders, so clients cannot tell the difference —
+but behind it sit N worker servers, each tailing its own slice of the
+log directories.  Every query fans out to all shards concurrently and
+the answers merge deterministically:
 
 * ``apps`` / ``decomposition`` — answered from the *merged* miner
   state, not by concatenating per-shard rows: an application whose
@@ -42,17 +43,18 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.checker import analyze_events
 from repro.core.report import AnalysisReport
-from repro.live.incremental import LiveMiner
-from repro.live.metrics import (
-    MetricsRegistry,
-    build_live_registry,
-    merge_metric_states,
+from repro.live.incremental import (
+    LiveMiner,
+    app_rows,
+    decomposition_entry,
+    diagnostics_dict,
 )
-from repro.live.server import DEFAULT_QUEUE_DEPTH, JsonLineServer
+from repro.live.metrics import build_live_registry, merge_metric_states
+from repro.live.server import JsonLineServer, RequestError
 
 __all__ = [
     "RouterServer",
@@ -62,7 +64,7 @@ __all__ = [
 ]
 
 
-class ShardError(RuntimeError):
+class ShardError(RequestError):
     """A shard was unreachable or answered ``ok: false``."""
 
 
@@ -152,8 +154,8 @@ class ShardConnection:
         self._writer: Optional[asyncio.StreamWriter] = None
         self._lock = asyncio.Lock()
 
-    async def request(self, op: str, **params) -> dict:
-        payload = {"op": op, **params}
+    async def request(self, op: str) -> dict:
+        payload = {"op": op}
         async with self._lock:
             try:
                 if self._writer is None:
@@ -179,8 +181,8 @@ class ShardConnection:
                 )
             return json.loads(line.decode("utf-8"))
 
-    async def result(self, op: str, **params):
-        response = await self.request(op, **params)
+    async def result(self, op: str):
+        response = await self.request(op)
         if not response.get("ok"):
             raise ShardError(
                 f"shard {self.index} failed {op!r}: "
@@ -204,11 +206,8 @@ class RouterServer(JsonLineServer):
         shards: Iterable[Tuple[str, int]],
         host: str = "127.0.0.1",
         port: int = 0,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        registry: Optional[MetricsRegistry] = None,
-        propagate_shutdown: bool = True,
     ):
-        super().__init__(host=host, port=port, queue_depth=queue_depth)
+        super().__init__(host=host, port=port)
         self.shards = [
             ShardConnection(shard_host, shard_port, index)
             for index, (shard_host, shard_port) in enumerate(shards)
@@ -218,127 +217,49 @@ class RouterServer(JsonLineServer):
         #: The router's own registry: front-end request counters.  The
         #: ``metrics`` op merges it with every shard's state so one
         #: scrape sees the whole deployment.
-        self.metrics = registry if registry is not None else build_live_registry()
-        self.propagate_shutdown = propagate_shutdown
+        self.metrics = build_live_registry()
 
     async def _on_close(self) -> None:
         for shard in self.shards:
             await shard.close()
 
-    # -- fan-out helpers ---------------------------------------------------
-    async def _fan_out(self, op: str, **params) -> List:
+    async def _fan_out(self, op: str) -> List:
         """Run one op on every shard concurrently; results in shard order."""
         return list(
-            await asyncio.gather(
-                *(shard.result(op, **params) for shard in self.shards)
-            )
+            await asyncio.gather(*(shard.result(op) for shard in self.shards))
         )
 
-    async def _merged_metrics_registry(self) -> MetricsRegistry:
-        states = await self._fan_out("metrics_state")
-        return merge_metric_states(states + [self.metrics.to_state()])
-
-    async def _merged_report(self) -> Tuple[dict, AnalysisReport]:
-        """Union every shard's miner state and rebuild the one report.
-
-        ``apps`` and ``decomposition`` go through here rather than
-        through per-shard report rows: a shard only has a partial view
-        of an application whose streams it shares with another shard,
-        and partial derived rows do not merge — accumulator states do.
-        """
-        merged = merge_state_payloads(await self._fan_out("state"))
-        return merged, report_from_state_payload(merged)
-
     # -- dispatch ----------------------------------------------------------
-    async def _dispatch(self, request: dict) -> dict:
-        op = request.get("op")
+    async def _dispatch(self, op: str, app_id: Any) -> Any:
         try:
-            return await self._dispatch_op(op, request)
-        except ShardError as exc:
-            return {"ok": False, "op": op, "error": str(exc)}
-        except ValueError as exc:
-            return {"ok": False, "op": op, "error": f"merge failed: {exc}"}
-
-    async def _dispatch_op(self, op, request: dict) -> dict:
-        if op == "apps":
-            state, report = await self._merged_report()
-            final = set(state["final_apps"])
-            rows = [
-                {
-                    "app_id": app.app_id,
-                    "status": (
-                        "final" if app.app_id in final else "provisional"
-                    ),
-                    "containers": len(app.containers),
-                    "total_delay": app.total_delay,
-                    "job_runtime": app.job_runtime,
-                }
-                for app in report.apps
-            ]
-            rows.sort(key=lambda row: row["app_id"])
-            return {"ok": True, "op": op, "result": rows}
-        if op == "decomposition":
-            app_id = request.get("app_id")
-            if not app_id:
+            if op in ("apps", "decomposition", "diagnostics"):
+                state = merge_state_payloads(await self._fan_out("state"))
+                report = report_from_state_payload(state)
+                final = set(state["final_apps"])
+                if op == "apps":
+                    return app_rows(report, final)
+                if op == "decomposition":
+                    return decomposition_entry(report, final, app_id)
                 return {
-                    "ok": False,
-                    "op": op,
-                    "error": "decomposition requires an app_id",
+                    **diagnostics_dict(report, state),
+                    "shards": len(self.shards),
                 }
-            state, report = await self._merged_report()
-            final = set(state["final_apps"])
-            for entry in report.to_dict()["applications"]:
-                if entry["app_id"] == app_id:
-                    status = "final" if app_id in final else "provisional"
-                    return {
-                        "ok": True,
-                        "op": op,
-                        "result": {"status": status, **entry},
-                    }
-            return {
-                "ok": False,
-                "op": op,
-                "error": f"unknown application {app_id!r}",
-            }
-        if op == "diagnostics":
-            state, report = await self._merged_report()
-            payload = report.diagnostics.to_dict()
-            payload["tail_lag_bytes"] = state["tail_lag_bytes"]
-            payload["resyncs"] = state["resyncs"]
-            payload["rotations"] = state["rotations"]
-            payload["drained"] = state["drained"]
-            if state["evicted_apps"]:
-                payload["evicted_apps"] = state["evicted_apps"]
-            payload["shards"] = len(self.shards)
-            return {"ok": True, "op": op, "result": payload}
-        if op == "metrics":
-            registry = await self._merged_metrics_registry()
-            return {"ok": True, "op": op, "result": registry.render()}
-        if op == "metrics_state":
-            registry = await self._merged_metrics_registry()
-            return {"ok": True, "op": op, "result": registry.to_state()}
-        if op in ("state", "drain"):
-            payloads = await self._fan_out(op)
-            return {
-                "ok": True,
-                "op": op,
-                "result": merge_state_payloads(payloads),
-            }
-        if op == "shutdown":
-            if self.propagate_shutdown:
-                # Best effort: a dead shard must not block the rest of
-                # the deployment from stopping.
-                await asyncio.gather(
-                    *(shard.request("shutdown") for shard in self.shards),
-                    return_exceptions=True,
+            if op in ("metrics", "metrics_state"):
+                states = await self._fan_out("metrics_state")
+                registry = merge_metric_states(
+                    states + [self.metrics.to_state()]
                 )
-            return {"ok": True, "op": op, "result": "shutting down"}
-        return {
-            "ok": False,
-            "op": op,
-            "error": (
-                f"unknown op {op!r} (expected apps, decomposition, "
-                "diagnostics, metrics, metrics_state, state, drain, "
-                "shutdown)"
-            ),
-        }
+                if op == "metrics":
+                    return registry.render()
+                return registry.to_state()
+            if op in ("state", "drain"):
+                return merge_state_payloads(await self._fan_out(op))
+        except ValueError as exc:
+            raise RequestError(f"merge failed: {exc}") from exc
+        # shutdown, best effort: a dead shard must not block the rest
+        # of the deployment from stopping.
+        await asyncio.gather(
+            *(shard.request("shutdown") for shard in self.shards),
+            return_exceptions=True,
+        )
+        return "shutting down"

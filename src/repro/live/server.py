@@ -1,8 +1,9 @@
 """An asyncio JSON-lines query/metrics server over a live session.
 
 Wire protocol: one JSON object per line in each direction.  A request
-is ``{"op": <name>, ...params}``; the response carries ``ok`` (bool),
-the echoed ``op``, and either ``result`` or ``error``::
+is ``{"op": <name>}``, plus ``app_id`` for ``decomposition``; the
+response carries ``ok`` (bool), the echoed ``op``, and either
+``result`` or ``error``::
 
     {"op": "apps"}
     {"ok": true, "op": "apps", "result": [...]}
@@ -16,10 +17,13 @@ sharded front end unions), ``drain`` (flush held-back tails, then
 return the drained state), and ``shutdown`` (stop the server after
 responding).
 
-The connection plumbing lives in :class:`JsonLineServer` so the
-sharded router (:mod:`repro.live.router`) serves the identical wire
-protocol without re-implementing framing or backpressure; subclasses
-provide a ``metrics`` registry and an async ``_dispatch``.
+The protocol lives once, in :class:`JsonLineServer`: framing,
+backpressure, the op table (:data:`OPS`), request validation, every
+protocol error and the response envelope.  The single server and the
+sharded router (:mod:`repro.live.router`) differ only in how they
+compute an op's result: each provides a ``metrics`` registry and an
+async ``_dispatch(op, app_id)`` returning that result.  Both run on a
+background thread through :func:`run_in_thread`.
 
 **Backpressure**: responses are never written directly from the read
 loop.  Each connection owns a bounded :class:`asyncio.Queue` drained by
@@ -45,12 +49,33 @@ import asyncio
 import contextlib
 import json
 import threading
-from typing import Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.live.incremental import LiveSession
 from repro.live.metrics import MetricsRegistry
 
-__all__ = ["JsonLineServer", "LiveServer", "ServerHandle", "serve_in_thread"]
+__all__ = [
+    "OPS",
+    "JsonLineServer",
+    "LiveServer",
+    "RequestError",
+    "ServerHandle",
+    "run_in_thread",
+    "serve_in_thread",
+]
+
+#: Every op the protocol answers, in the order the unknown-op error
+#: lists them.
+OPS = (
+    "apps",
+    "decomposition",
+    "diagnostics",
+    "metrics",
+    "metrics_state",
+    "state",
+    "drain",
+    "shutdown",
+)
 
 #: Responses a connection may have in flight before it is considered a
 #: slow consumer and disconnected.
@@ -62,8 +87,16 @@ DEFAULT_QUEUE_DEPTH = 64
 DRAIN_TIMEOUT = 5.0
 
 
+class RequestError(RuntimeError):
+    """Raised by ``_dispatch``: answer ``ok: false`` with this message."""
+
+
+def _error(op: Any, message: str) -> dict:
+    return {"ok": False, "op": op, "error": message}
+
+
 class JsonLineServer:
-    """Framing, backpressure, and lifecycle for a JSON-lines endpoint.
+    """The JSON-lines protocol: framing, backpressure, ops and lifecycle.
 
     Subclasses must provide a ``metrics`` :class:`MetricsRegistry`
     (attribute or property) and implement :meth:`_dispatch`; they may
@@ -81,6 +114,8 @@ class JsonLineServer:
         self.queue_depth = queue_depth
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown: Optional[asyncio.Event] = None
+        #: Open client connections and their handler tasks.
+        self._connections: Dict[asyncio.StreamWriter, asyncio.Task] = {}
         #: The actually bound port (useful with ``port=0``).
         self.bound_port: Optional[int] = None
 
@@ -119,14 +154,24 @@ class JsonLineServer:
 
     async def _close(self) -> None:
         await self._on_close()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        self._server.close()
+        # Close open client connections so their handlers read EOF and
+        # return.  A handler still parked in readline() when the loop
+        # shuts down is cancelled instead, and asyncio's stream callback
+        # logs that cancellation as an error.
+        for writer in self._connections:
+            writer.close()
+        if self._connections:
+            await asyncio.wait(
+                list(self._connections.values()), timeout=DRAIN_TIMEOUT
+            )
+        await self._server.wait_closed()
 
     # -- connections -------------------------------------------------------
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._connections[writer] = asyncio.current_task()
         queue: asyncio.Queue = asyncio.Queue(maxsize=self.queue_depth)
         writer_task = asyncio.create_task(self._write_loop(queue, writer))
         dropped = False
@@ -169,6 +214,7 @@ class JsonLineServer:
             writer.close()
             with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
+            self._connections.pop(writer, None)
 
     async def _write_loop(
         self, queue: asyncio.Queue, writer: asyncio.StreamWriter
@@ -192,21 +238,33 @@ class JsonLineServer:
             request = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             self.metrics.counter("repro_live_malformed_requests_total").inc()
-            return {
-                "ok": False,
-                "op": None,
-                "error": "malformed request: expected one JSON object per line",
-            }
+            return _error(
+                None, "malformed request: expected one JSON object per line"
+            )
         if not isinstance(request, dict):
             self.metrics.counter("repro_live_malformed_requests_total").inc()
-            return {
-                "ok": False,
-                "op": None,
-                "error": "malformed request: expected a JSON object",
-            }
-        return await self._dispatch(request)
+            return _error(None, "malformed request: expected a JSON object")
+        op = request.get("op")
+        if op not in OPS:
+            return _error(op, f"unknown op {op!r} (expected {', '.join(OPS)})")
+        app_id = request.get("app_id")
+        if op == "decomposition" and not app_id:
+            return _error(op, "decomposition requires an app_id")
+        try:
+            result = await self._dispatch(op, app_id)
+        except RequestError as exc:
+            return _error(op, str(exc))
+        if op == "decomposition" and result is None:
+            return _error(op, f"unknown application {app_id!r}")
+        return {"ok": True, "op": op, "result": result}
 
-    async def _dispatch(self, request: dict) -> dict:
+    async def _dispatch(self, op: str, app_id: Any) -> Any:
+        """The result of one op from :data:`OPS`.
+
+        ``app_id`` is the request's (set for ``decomposition``); a
+        ``decomposition`` result of ``None`` means the app is unknown.
+        Raise :class:`RequestError` to answer with an error instead.
+        """
         raise NotImplementedError
 
 
@@ -254,62 +312,31 @@ class LiveServer(JsonLineServer):
                 continue
 
     # -- dispatch ----------------------------------------------------------
-    async def _dispatch(self, request: dict) -> dict:
-        op = request.get("op")
+    async def _dispatch(self, op: str, app_id: Any) -> Any:
         if op == "apps":
-            return {"ok": True, "op": op, "result": self.session.apps_payload()}
+            return self.session.apps_payload()
         if op == "decomposition":
-            app_id = request.get("app_id")
-            if not app_id:
-                return {
-                    "ok": False,
-                    "op": op,
-                    "error": "decomposition requires an app_id",
-                }
-            payload = self.session.decomposition_payload(app_id)
-            if payload is None:
-                return {
-                    "ok": False,
-                    "op": op,
-                    "error": f"unknown application {app_id!r}",
-                }
-            return {"ok": True, "op": op, "result": payload}
+            return self.session.decomposition_payload(app_id)
         if op == "diagnostics":
-            return {
-                "ok": True,
-                "op": op,
-                "result": self.session.diagnostics_payload(),
-            }
+            return self.session.diagnostics_payload()
         # metrics go through the session wrappers so deferred
         # component-delay observations are flushed before rendering.
         if op == "metrics":
-            return {"ok": True, "op": op, "result": self.session.metrics_text()}
+            return self.session.metrics_text()
         if op == "metrics_state":
-            return {
-                "ok": True,
-                "op": op,
-                "result": self.session.metrics_state(),
-            }
+            return self.session.metrics_state()
         if op == "state":
-            return {"ok": True, "op": op, "result": self.session.state_payload()}
+            return self.session.state_payload()
         if op == "drain":
             self.session.drain()
-            return {"ok": True, "op": op, "result": self.session.state_payload()}
-        if op == "shutdown":
-            return {"ok": True, "op": op, "result": "shutting down"}
-        return {
-            "ok": False,
-            "op": op,
-            "error": (
-                f"unknown op {op!r} (expected apps, decomposition, "
-                "diagnostics, metrics, metrics_state, state, drain, "
-                "shutdown)"
-            ),
-        }
+            return self.session.state_payload()
+        # shutdown: the connection handler stops the server once this
+        # answer has flushed.
+        return "shutting down"
 
 
 class ServerHandle:
-    """A server running on a background thread; address plus ``stop()``."""
+    """A server running on a background thread: address, ``wait``, ``stop``."""
 
     def __init__(self, server: JsonLineServer, loop: asyncio.AbstractEventLoop,
                  thread: threading.Thread):
@@ -326,6 +353,10 @@ class ServerHandle:
         assert self._server.bound_port is not None
         return self._server.bound_port
 
+    def wait(self, timeout: Optional[float] = None) -> None:
+        """Block until the server stops (a client's ``shutdown`` op)."""
+        self._thread.join(timeout=timeout)
+
     def stop(self, timeout: float = 10.0) -> None:
         try:
             self._loop.call_soon_threadsafe(self._server.request_shutdown)
@@ -340,19 +371,16 @@ class ServerHandle:
         self.stop()
 
 
-def serve_in_thread(
-    session: LiveSession,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    poll_interval: float = 0.05,
-    queue_depth: int = DEFAULT_QUEUE_DEPTH,
-    poll: bool = True,
+def run_in_thread(
+    make_server: Callable[[], JsonLineServer], name: str
 ) -> ServerHandle:
-    """Run a :class:`LiveServer` on a daemon thread; returns its handle.
+    """Build and serve ``make_server()`` on its own event loop and thread.
 
-    The embedding entry point (tests, benchmarks, notebooks): the
-    caller keeps its thread, the session lives entirely on the server's
-    event loop.  A startup failure (say, the port is already bound)
+    The one way every server here runs: embedded in tests and
+    benchmarks, behind the CLI, in a shard worker process and as the
+    sharded router.  The caller keeps its thread; ``make_server`` runs
+    on the new one, so the server and everything it builds live on the
+    server's loop.  A startup failure (say, the port is already bound)
     re-raises the *original* exception here instead of a generic
     timeout 30 seconds later.
     """
@@ -360,14 +388,7 @@ def serve_in_thread(
     holder: dict = {}
 
     async def _main() -> None:
-        server = LiveServer(
-            session,
-            host=host,
-            port=port,
-            poll_interval=poll_interval,
-            queue_depth=queue_depth,
-            poll=poll,
-        )
+        server = make_server()
         await server.start()
         holder["server"] = server
         holder["loop"] = asyncio.get_running_loop()
@@ -382,13 +403,39 @@ def serve_in_thread(
         finally:
             started.set()
 
-    thread = threading.Thread(target=_run, name="repro-live-server", daemon=True)
+    thread = threading.Thread(target=_run, name=name, daemon=True)
     thread.start()
     if not started.wait(timeout=30.0):
-        raise RuntimeError("live server failed to start within 30s")
+        raise RuntimeError(f"{name} failed to start within 30s")
     error = holder.get("error")
     if error is not None:
         raise error
     if "server" not in holder:
-        raise RuntimeError("live server exited before binding")
+        raise RuntimeError(f"{name} exited before binding")
     return ServerHandle(holder["server"], holder["loop"], thread)
+
+
+def serve_in_thread(
+    session: LiveSession,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    poll_interval: float = 0.05,
+    queue_depth: int = DEFAULT_QUEUE_DEPTH,
+    poll: bool = True,
+) -> ServerHandle:
+    """Run a :class:`LiveServer` over ``session`` with :func:`run_in_thread`.
+
+    The embedding entry point (tests, benchmarks, notebooks): the
+    session lives entirely on the server's event loop.
+    """
+    return run_in_thread(
+        lambda: LiveServer(
+            session,
+            host=host,
+            port=port,
+            poll_interval=poll_interval,
+            queue_depth=queue_depth,
+            poll=poll,
+        ),
+        "repro-live-server",
+    )

@@ -19,19 +19,19 @@ The supervisor:
 Workers report their bound port back over a multiprocessing queue; a
 worker that fails to bind reports the error instead, and
 :meth:`ShardedLiveService.start` re-raises it immediately rather than
-hanging (the process-level analogue of the ``serve_in_thread`` startup
+hanging (the process-level analogue of the ``run_in_thread`` startup
 contract).  Shutdown flows through the wire protocol: a ``shutdown``
 op at the router fans out to every shard, so the whole deployment
 stops from one client request — or from :meth:`stop`.
 
 The worker entry point is a top-level function and every argument it
 takes is a plain picklable value, so the supervisor works under both
-``fork`` and ``spawn`` start methods (SD5xx process-boundary rules).
+``fork`` (used where available) and ``spawn`` (SD5xx process-boundary
+rules).
 """
 
 from __future__ import annotations
 
-import asyncio
 import http.server
 import json
 import multiprocessing
@@ -40,14 +40,11 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.live.client import LiveClient
-from repro.live.router import RouterServer
-from repro.live.server import DEFAULT_QUEUE_DEPTH, ServerHandle
+from repro.live.incremental import LiveSession
+from repro.live.router import RouterServer, report_from_state_payload
+from repro.live.server import LiveServer, ServerHandle, run_in_thread
 
-__all__ = [
-    "ShardedLiveService",
-    "partition_directories",
-    "serve_router_in_thread",
-]
+__all__ = ["ShardedLiveService", "partition_directories"]
 
 #: Seconds the supervisor waits for each worker to report its port.
 WORKER_START_TIMEOUT = 30.0
@@ -78,96 +75,26 @@ def _worker_main(
     port_queue,
     poll_interval: float,
     evict_after_polls: Optional[int],
-    queue_depth: int,
     poll: bool,
 ) -> None:
-    """One shard: a LiveSession + LiveServer on a fresh event loop.
+    """One shard: a LiveSession + LiveServer, served until shutdown.
 
     Top-level (picklable) by design; reports ``("ok", index, port)`` or
     ``("error", index, message)`` exactly once, before serving.
     """
-    # Imported here so a spawn-start worker pays its own import cost and
-    # the module graph stays import-cycle free.
-    from repro.live.incremental import LiveSession
-    from repro.live.server import LiveServer
-
-    async def _serve() -> None:
-        try:
-            session = LiveSession(
-                directories, evict_after_polls=evict_after_polls
-            )
-            server = LiveServer(
-                session,
-                host=host,
-                port=0,
-                poll_interval=poll_interval,
-                queue_depth=queue_depth,
-                poll=poll,
-            )
-            await server.start()
-        except BaseException as exc:  # noqa: BLE001 - relayed to supervisor
-            port_queue.put(("error", index, f"{type(exc).__name__}: {exc}"))
-            raise
-        port_queue.put(("ok", index, server.bound_port))
-        await server.serve_until_shutdown()
+    def make_server() -> LiveServer:
+        session = LiveSession(directories, evict_after_polls=evict_after_polls)
+        return LiveServer(
+            session, host=host, port=0, poll_interval=poll_interval, poll=poll
+        )
 
     try:
-        asyncio.run(_serve())
-    except Exception:
-        # Already reported through the queue; a worker's stderr
-        # traceback would only interleave with the supervisor's.
-        pass
-
-
-def serve_router_in_thread(
-    shards: Sequence[Tuple[str, int]],
-    host: str = "127.0.0.1",
-    port: int = 0,
-    queue_depth: int = DEFAULT_QUEUE_DEPTH,
-    propagate_shutdown: bool = True,
-) -> ServerHandle:
-    """Run a :class:`RouterServer` on a daemon thread; returns its handle.
-
-    Same startup contract as :func:`~repro.live.server.serve_in_thread`:
-    a bind failure re-raises here, immediately.
-    """
-    started = threading.Event()
-    holder: dict = {}
-
-    async def _main() -> None:
-        router = RouterServer(
-            shards,
-            host=host,
-            port=port,
-            queue_depth=queue_depth,
-            propagate_shutdown=propagate_shutdown,
-        )
-        await router.start()
-        holder["server"] = router
-        holder["loop"] = asyncio.get_running_loop()
-        started.set()
-        await router.serve_until_shutdown()
-
-    def _run() -> None:
-        try:
-            asyncio.run(_main())
-        except BaseException as exc:  # noqa: BLE001 - relayed to caller
-            holder.setdefault("error", exc)
-        finally:
-            started.set()
-
-    thread = threading.Thread(
-        target=_run, name="repro-live-router", daemon=True
-    )
-    thread.start()
-    if not started.wait(timeout=30.0):
-        raise RuntimeError("router failed to start within 30s")
-    error = holder.get("error")
-    if error is not None:
-        raise error
-    if "server" not in holder:
-        raise RuntimeError("router exited before binding")
-    return ServerHandle(holder["server"], holder["loop"], thread)
+        handle = run_in_thread(make_server, f"repro-live-shard-{index}")
+    except Exception as exc:  # noqa: BLE001 - relayed to supervisor
+        port_queue.put(("error", index, f"{type(exc).__name__}: {exc}"))
+        return
+    port_queue.put(("ok", index, handle.port))
+    handle.wait()
 
 
 class _MetricsHTTPHandler(http.server.BaseHTTPRequestHandler):
@@ -217,9 +144,7 @@ class ShardedLiveService:
         http_port: Optional[int] = None,
         poll_interval: float = 0.25,
         evict_after_polls: Optional[int] = None,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
         poll: bool = True,
-        start_method: Optional[str] = None,
     ):
         self.partitions = partition_directories(directories, shards)
         self.host = host
@@ -227,12 +152,11 @@ class ShardedLiveService:
         self.http_port = http_port
         self.poll_interval = poll_interval
         self.evict_after_polls = evict_after_polls
-        self.queue_depth = queue_depth
         self.poll = poll
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._mp = multiprocessing.get_context(start_method)
+        methods = multiprocessing.get_all_start_methods()
+        self._mp = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
         self._workers: List = []
         self.shard_addresses: List[Tuple[str, int]] = []
         self._router: Optional[ServerHandle] = None
@@ -253,7 +177,6 @@ class ShardedLiveService:
                     port_queue,
                     self.poll_interval,
                     self.evict_after_polls,
-                    self.queue_depth,
                     self.poll,
                 ),
                 name=f"repro-live-shard-{index}",
@@ -277,11 +200,11 @@ class ShardedLiveService:
             (self.host, ports[index]) for index in range(len(self.partitions))
         ]
         try:
-            self._router = serve_router_in_thread(
-                self.shard_addresses,
-                host=self.host,
-                port=self.router_port,
-                queue_depth=self.queue_depth,
+            self._router = run_in_thread(
+                lambda: RouterServer(
+                    self.shard_addresses, host=self.host, port=self.router_port
+                ),
+                "repro-live-router",
             )
             if self.http_port is not None:
                 self._start_http()
@@ -330,7 +253,7 @@ class ShardedLiveService:
     def wait(self, timeout: Optional[float] = None) -> None:
         """Block until the router stops (e.g. a client sent shutdown)."""
         assert self._router is not None, "start() first"
-        self._router._thread.join(timeout=timeout)
+        self._router.wait(timeout=timeout)
 
     def stop(self, timeout: float = 10.0) -> None:
         """Shut the whole deployment down: router, shards, HTTP."""
@@ -375,8 +298,6 @@ class ShardedLiveService:
         directories (JSON-compared) for any shard assignment, provided
         no shard evicted.
         """
-        from repro.live.router import report_from_state_payload
-
         with self.client() as client:
             merged_state = client.drain()
         report = report_from_state_payload(merged_state)

@@ -201,7 +201,6 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
         sim = self.sim
-        sim._active_process = self
         self._target = None
         try:
             if event._ok:
@@ -210,14 +209,11 @@ class Process(Event):
                 event.defused = True
                 result = self._generator.throw(event._value)
         except StopIteration as stop:
-            sim._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            sim._active_process = None
             self.fail(exc)
             return
-        sim._active_process = None
 
         if not isinstance(result, Event):
             # Misbehaving generator: surface a clear error inside it.
@@ -320,18 +316,12 @@ class Simulator:
         self._now: float = 0.0
         self._heap: list = []
         self._seq = count()
-        self._active_process: Optional[Process] = None
 
     # -- clock ---------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event factories ------------------------------------------------
     def event(self) -> Event:

@@ -103,10 +103,6 @@ class NodeManager:
         """Opportunistic containers queued (Sparrow-style probe answer)."""
         return len(self._opportunistic_queue)
 
-    def estimated_wait(self) -> float:
-        """Crude queue-wait estimate: queued containers x mean runtime."""
-        return len(self._opportunistic_queue) * self.params.map_task_duration_median_s
-
     # -- heartbeats -------------------------------------------------------------
     def _heartbeat_loop(self) -> Generator[Event, Any, None]:
         try:

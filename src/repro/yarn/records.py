@@ -86,8 +86,3 @@ class LaunchSpec:
     docker: bool = False
     #: Free-form bag for framework-specific launch parameters.
     env: dict = field(default_factory=dict)
-
-    @property
-    def localized_bytes(self) -> float:
-        """Total payload size."""
-        return float(sum(f.size_bytes for f in self.files))

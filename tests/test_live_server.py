@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import socket
 from pathlib import Path
 
@@ -77,6 +78,20 @@ class TestOperations:
         handle.stop()
         with pytest.raises(OSError):
             socket.create_connection((handle.host, handle.port), timeout=1.0)
+
+
+class TestStop:
+    def test_stop_with_an_idle_client_logs_no_error(self, handle, caplog):
+        # The handler is parked reading the client's next line when the
+        # server stops: it must return, not be cancelled, or asyncio's
+        # stream callback logs the CancelledError.
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with LiveClient(handle.host, handle.port) as client:
+                client.apps()
+                handle.stop()
+                with pytest.raises(ConnectionError):
+                    client.apps()
+        assert [r.getMessage() for r in caplog.records] == []
 
 
 class TestErrors:

@@ -11,6 +11,7 @@ merged state, rebuilt report == batch ``SDChecker`` over the union.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import urllib.error
@@ -28,7 +29,9 @@ from repro.live import (
     report_from_state_payload,
     serve_in_thread,
 )
-from repro.live.sharded import ShardedLiveService, serve_router_in_thread
+from repro.live.router import RouterServer
+from repro.live.server import run_in_thread
+from repro.live.sharded import ShardedLiveService
 from repro.logsys.record import LogRecord
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -80,21 +83,117 @@ class TestPartition:
             partition_directories([], 2)
 
 
-@pytest.fixture()
-def router_over_threads(tmp_path):
-    """Two in-thread shard servers behind a router; no processes."""
-    shard_dirs = _split_golden(tmp_path, 2)
+@contextlib.contextmanager
+def _router_over(shard_dirs):
+    """In-thread shard servers over ``shard_dirs`` behind a router."""
     sessions = [LiveSession(shard_dir) for shard_dir in shard_dirs]
     shard_handles = [
         serve_in_thread(session, poll_interval=0.01) for session in sessions
     ]
-    router = serve_router_in_thread(
-        [(handle.host, handle.port) for handle in shard_handles]
+    router = run_in_thread(
+        lambda: RouterServer(
+            [(handle.host, handle.port) for handle in shard_handles]
+        ),
+        "repro-live-router",
     )
-    yield router, shard_handles, shard_dirs, sessions
-    router.stop()
-    for handle in shard_handles:
-        handle.stop()
+    try:
+        yield router, shard_handles, sessions
+    finally:
+        router.stop()
+        for handle in shard_handles:
+            handle.stop()
+
+
+@pytest.fixture()
+def router_over_threads(tmp_path):
+    """Two in-thread shard servers behind a router; no processes."""
+    shard_dirs = _split_golden(tmp_path, 2)
+    with _router_over(shard_dirs) as (router, shard_handles, sessions):
+        yield router, shard_handles, shard_dirs, sessions
+
+
+def _raw_response(handle, line: bytes) -> dict:
+    with socket.create_connection((handle.host, handle.port), timeout=5.0) as raw:
+        raw.sendall(line)
+        return json.loads(raw.makefile("rb").readline())
+
+
+@pytest.fixture(scope="module")
+def one_shard_and_its_router(tmp_path_factory):
+    """A server over the golden directory, and a router over just it."""
+    (shard_dir,) = _split_golden(tmp_path_factory.mktemp("one_shard"), 1)
+    with _router_over([shard_dir]) as (router, (shard,), _sessions):
+        yield shard, router
+
+
+_REQUESTS = {
+    "apps": {"op": "apps"},
+    "decomposition": {"op": "decomposition", "app_id": APP_ID},
+    "decomposition-unknown-app": {
+        "op": "decomposition",
+        "app_id": "application_0_0000",
+    },
+    "decomposition-without-app-id": {"op": "decomposition"},
+    "diagnostics": {"op": "diagnostics"},
+    "state": {"op": "state"},
+    "unknown-op": {"op": "frobnicate"},
+}
+_LINES = {name: json.dumps(req).encode() + b"\n" for name, req in _REQUESTS.items()}
+_LINES["non-json"] = b"this is not json\n"
+_LINES["non-object"] = b"[1, 2, 3]\n"
+
+
+class TestRouterAnswersLikeOneServer:
+    """One shard behind a router answers exactly as that shard does."""
+
+    @pytest.mark.parametrize("line", list(_LINES.values()), ids=list(_LINES))
+    def test_same_response(self, one_shard_and_its_router, line):
+        shard, router = one_shard_and_its_router
+        direct = _raw_response(shard, line)
+        routed = _raw_response(router, line)
+        if direct["op"] == "diagnostics":
+            assert routed["result"].pop("shards") == 1
+        assert routed == direct
+
+
+class TestRouterErrors:
+    def test_a_daemon_on_two_shards_fails_the_merge(self, tmp_path):
+        rm_log = GOLDEN / "hadoop-resourcemanager.log"
+        shard_dirs = [tmp_path / "shard0", tmp_path / "shard1"]
+        for shard_dir in shard_dirs:
+            shard_dir.mkdir()
+            (shard_dir / rm_log.name).write_bytes(rm_log.read_bytes())
+        with _router_over(shard_dirs) as (router, shard_handles, _sessions):
+            with LiveClient(shard_handles[0].host, shard_handles[0].port) as client:
+                (daemon,) = client.state()["miner"]
+            with LiveClient(router.host, router.port) as client:
+                response = client.request("apps")
+        assert response == {
+            "ok": False,
+            "op": "apps",
+            "error": (
+                f"merge failed: daemon {daemon!r} appears on shard 0 and "
+                "shard 1; shard directories must have disjoint stream names"
+            ),
+        }
+
+    def test_a_stopped_shard_closed_the_connection(self, router_over_threads):
+        router, shard_handles, _dirs, _sessions = router_over_threads
+        stopped = shard_handles[1]
+        with LiveClient(router.host, router.port) as client:
+            # Once a query is answered the router holds an open
+            # connection to every shard.
+            assert client.request("apps")["ok"] is True
+            stopped.stop()
+            response = client.request("apps")
+        assert response == {
+            "ok": False,
+            "op": "apps",
+            "error": (
+                f"shard 1 ({stopped.host}:{stopped.port}) closed the "
+                "connection"
+            ),
+        }
 
 
 class TestRouterMerging:
