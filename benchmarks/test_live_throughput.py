@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import threading
 import time
 from pathlib import Path
@@ -48,6 +49,10 @@ _REQUESTS_PER_CLIENT = {"smoke": 25, "small": 100, "paper": 300}
 
 #: Worker processes in the sharded ingest comparison.
 _SHARDS = 4
+#: Drains timed per side of that comparison, alternating sides.  A
+#: smoke-corpus drain takes 8-40 ms, so one drain per side measures
+#: process and connection noise; the bar compares medians.
+_DRAINS_PER_SIDE = 5
 
 #: Conservative floors/ceilings — regression tripwires, not records.
 #: The smoke corpus is so small that fixed per-poll overhead (directory
@@ -214,8 +219,10 @@ def test_sharded_ingest_scaling(scale, tmp_path):
 
     Records ``sharded_ingest_lps`` next to the single-process number and
     re-checks the sharded byte-identity contract at benchmark scale.
-    The speedup assertions are gated on the runner's CPU count: shard
-    processes can only overlap where cores exist to run them.
+    Each side's number is the median of ``_DRAINS_PER_SIDE`` drains,
+    timed alternately.  The speedup assertions are gated on the runner's
+    CPU count: shard processes can only overlap where cores exist to
+    run them.
     """
     mode = "smoke" if os.environ.get("REPRO_BENCH_SMOKE") else scale
     store = build_corpus(mode)
@@ -224,8 +231,13 @@ def test_sharded_ingest_scaling(scale, tmp_path):
     store.dump(src_dir)
     shard_dirs = _partition_files(src_dir, tmp_path, _SHARDS)
 
-    _, single_seconds = _timed_sharded_drain(shard_dirs, 1)
-    merged_state, sharded_seconds = _timed_sharded_drain(shard_dirs, _SHARDS)
+    single_runs, sharded_runs = [], []
+    for _ in range(_DRAINS_PER_SIDE):
+        single_runs.append(_timed_sharded_drain(shard_dirs, 1)[1])
+        merged_state, seconds = _timed_sharded_drain(shard_dirs, _SHARDS)
+        sharded_runs.append(seconds)
+    single_seconds = statistics.median(single_runs)
+    sharded_seconds = statistics.median(sharded_runs)
     single_lps = lines / single_seconds if single_seconds > 0 else float("inf")
     sharded_lps = (
         lines / sharded_seconds if sharded_seconds > 0 else float("inf")
@@ -248,6 +260,7 @@ def test_sharded_ingest_scaling(scale, tmp_path):
         "cpus": cpus,
         "single_ingest_lps": round(single_lps),
         "sharded_ingest_lps": round(sharded_lps),
+        "drains_per_side": _DRAINS_PER_SIDE,
     }
     _record_point(point)
     print()
@@ -257,7 +270,8 @@ def test_sharded_ingest_scaling(scale, tmp_path):
         # Never slower than one process (5% allowance for timer noise).
         assert sharded_lps >= single_lps * 0.95, (
             f"sharded ingest {sharded_lps:.0f} lines/s slower than a "
-            f"single process at {single_lps:.0f} lines/s on {cpus} CPUs"
+            f"single process at {single_lps:.0f} lines/s on {cpus} CPUs "
+            f"(medians of {_DRAINS_PER_SIDE} drains per side)"
         )
     if cpus >= 4 and mode != "smoke":
         # The smoke corpus is too small for spawn/merge overhead to

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -280,29 +281,38 @@ def _run_query(args: argparse.Namespace) -> int:
         return 2
     try:
         with LiveClient(args.host, args.port, timeout=args.timeout) as client:
-            if args.op == "metrics":
-                sys.stdout.write(client.metrics())
-            elif args.op == "decomposition":
-                json.dump(client.decomposition(args.app_id), sys.stdout, indent=2)
-                print()
+            if args.op == "decomposition":
+                result = client.decomposition(args.app_id)
             else:
-                call = {
-                    "apps": client.apps,
-                    "diagnostics": client.diagnostics,
-                    "metrics_state": client.metrics_state,
-                    "state": client.state,
-                    "drain": client.drain,
-                    "shutdown": client.shutdown,
-                }[args.op]
-                json.dump(call(), sys.stdout, indent=2)
-                print()
+                result = getattr(client, args.op)()
     except (ConnectionError, OSError) as exc:
         print(f"error: cannot reach {args.host}:{args.port}: {exc}", file=sys.stderr)
         return 1
     except QueryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # Written outside the socket's ``try``: a closed stdout is not an
+    # unreachable server.
+    text = result if args.op == "metrics" else json.dumps(result, indent=2) + "\n"
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (``query ... | head -1``), which is not an
+        # error.  Point stdout at devnull so the flush at exit does not
+        # fail again (the Python docs' note on SIGPIPE), and exit 0.
+        _discard_stdout()
     return 0
+
+
+def _discard_stdout() -> None:
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return  # no descriptor behind it: nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -48,6 +48,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import logging
 import threading
 from typing import Any, Callable, Dict, Optional
 
@@ -85,6 +86,12 @@ DEFAULT_QUEUE_DEPTH = 64
 #: If the writer task died (e.g. the peer reset the connection) with
 #: items still queued, ``queue.join()`` would otherwise wait forever.
 DRAIN_TIMEOUT = 5.0
+
+#: Ops that read the session's mined data; after a failed poll they
+#: answer with the poll's error instead of a stale or empty answer.
+_DATA_OPS = ("apps", "decomposition", "diagnostics", "state", "drain")
+
+_log = logging.getLogger("repro.live")
 
 
 class RequestError(RuntimeError):
@@ -285,6 +292,8 @@ class LiveServer(JsonLineServer):
         self.poll_interval = poll_interval
         self._poll_enabled = poll
         self._poll_task: Optional[asyncio.Task] = None
+        #: What the poll that stopped the poll loop raised, if one did.
+        self._poll_error: Optional[Exception] = None
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -303,7 +312,15 @@ class LiveServer(JsonLineServer):
 
     async def _poll_loop(self) -> None:
         while not self._shutdown.is_set():
-            self.session.poll()
+            try:
+                self.session.poll()
+            except Exception as exc:  # noqa: BLE001 - answered to data queries
+                # This poll's chunks may be half ingested, so polling on
+                # would serve wrong data: stop, and let every later data
+                # query answer with the error.
+                self._poll_error = exc
+                _log.error("poll failed, serving no data: %s", exc, exc_info=exc)
+                return
             try:
                 await asyncio.wait_for(
                     self._shutdown.wait(), timeout=self.poll_interval
@@ -313,6 +330,8 @@ class LiveServer(JsonLineServer):
 
     # -- dispatch ----------------------------------------------------------
     async def _dispatch(self, op: str, app_id: Any) -> Any:
+        if self._poll_error is not None and op in _DATA_OPS:
+            raise RequestError(f"poll failed: {self._poll_error}")
         if op == "apps":
             return self.session.apps_payload()
         if op == "decomposition":

@@ -14,6 +14,7 @@ typically report) and use a bounded Pareto for explicit heavy tails
 from __future__ import annotations
 
 import zlib
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,8 +28,17 @@ class RandomSource:
     def __init__(self, seed: int = 0, name: str = "root"):
         self.seed = int(seed)
         self.name = name
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(zlib.crc32(name.encode()),))
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        # Built on first use: a substream that is derived but never
+        # drawn from costs only its name.  The stream itself depends on
+        # (seed, name) alone, so when it is built changes no draw.
+        # ``np.random`` is looked up here, not imported with this
+        # module: programs that never draw (the miner, the live server)
+        # then never load it.
+        return np.random.default_rng(
+            np.random.SeedSequence(entropy=self.seed, spawn_key=(zlib.crc32(self.name.encode()),))
         )
 
     def child(self, name: str) -> "RandomSource":

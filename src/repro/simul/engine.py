@@ -13,7 +13,7 @@ ties), so a simulation with a fixed random seed replays identically.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -28,10 +28,11 @@ __all__ = [
     "Simulator",
 ]
 
-#: Default priority for ordinary events.
+#: Priority of every scheduled event (the second heap-tuple field).
 NORMAL = 1
-#: Priority used for "urgent" bookkeeping events (processed first at a tick).
-URGENT = 0
+
+#: Sentinel for "no value yet".
+_PENDING = object()
 
 
 class SimulationError(Exception):
@@ -61,15 +62,12 @@ class Event:
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "defused")
 
-    #: Sentinel for "no value yet".
-    _PENDING = object()
-
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         #: Callbacks invoked with this event once it is processed, or
         #: ``None`` after processing.
         self.callbacks: Optional[list] = []
-        self._value: Any = Event._PENDING
+        self._value: Any = _PENDING
         self._ok: bool = True
         #: Set to True when a failure has been handled and should not be
         #: re-raised by the simulator at the end of the run.
@@ -79,7 +77,7 @@ class Event:
     @property
     def triggered(self) -> bool:
         """True once the event has a value and is scheduled."""
-        return self._value is not Event._PENDING
+        return self._value is not _PENDING
 
     @property
     def processed(self) -> bool:
@@ -96,29 +94,38 @@ class Event:
     @property
     def value(self) -> Any:
         """Payload of the event (the exception object for failures)."""
-        if self._value is Event._PENDING:
+        if self._value is _PENDING:
             raise SimulationError("event value not yet available")
         return self._value
 
     # -- triggering ----------------------------------------------------
+    # succeed, fail and Timeout push onto the heap themselves: they run
+    # once per simulated event, so each saves a call.
+
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Mark the event successful and schedule its callbacks."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
+        if delay < 0:
+            raise SimulationError(f"cannot schedule event in the past (delay={delay})")
         self._value = value
         self._ok = True
-        self.sim._enqueue(self, delay)
+        sim = self.sim
+        heappush(sim._heap, (sim._now + delay, NORMAL, next(sim._seq), self))
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
         """Mark the event failed; waiting processes receive ``exc``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exc, BaseException):
             raise SimulationError("fail() requires an exception instance")
+        if delay < 0:
+            raise SimulationError(f"cannot schedule event in the past (delay={delay})")
         self._value = exc
         self._ok = False
-        self.sim._enqueue(self, delay)
+        sim = self.sim
+        heappush(sim._heap, (sim._now + delay, NORMAL, next(sim._seq), self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -143,11 +150,15 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
+        # Event.__init__'s fields, set here with the value it would
+        # leave pending: one Timeout is built per simulated wait.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
         self._ok = True
-        sim._enqueue(self, delay)
+        self.defused = False
+        self.delay = delay
+        heappush(sim._heap, (sim._now + delay, NORMAL, next(sim._seq), self))
 
 
 class Process(Event):
@@ -159,7 +170,7 @@ class Process(Event):
     generator's return value.
     """
 
-    __slots__ = ("name", "_generator", "_target")
+    __slots__ = ("name", "_generator", "_target", "_wake")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
@@ -169,9 +180,12 @@ class Process(Event):
         self._generator = generator
         #: Event this process is currently waiting on (None when running).
         self._target: Optional[Event] = None
+        #: ``self._resume``, bound once: the callback this process
+        #: leaves on every event it waits on.
+        self._wake = self._resume
         # Kick off the generator at the current simulation time.
         init = Event(sim)
-        init.callbacks.append(self._resume)
+        init.callbacks.append(self._wake)
         init.succeed(None)
 
     @property
@@ -188,19 +202,18 @@ class Process(Event):
         # does not resume us a second time.
         if target is not None and target.callbacks is not None:
             try:
-                target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._wake)
             except ValueError:
                 pass
         self._target = None
         wakeup = Event(self.sim)
-        wakeup.callbacks.append(self._resume)
+        wakeup.callbacks.append(self._wake)
         wakeup.fail(Interrupt(cause))
         wakeup.defused = True
 
     # -- internal ------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        sim = self.sim
         self._target = None
         try:
             if event._ok:
@@ -217,8 +230,8 @@ class Process(Event):
 
         if not isinstance(result, Event):
             # Misbehaving generator: surface a clear error inside it.
-            wakeup = Event(sim)
-            wakeup.callbacks.append(self._resume)
+            wakeup = Event(self.sim)
+            wakeup.callbacks.append(self._wake)
             wakeup.fail(
                 SimulationError(
                     f"process {self.name!r} yielded non-event {result!r}"
@@ -227,19 +240,20 @@ class Process(Event):
             wakeup.defused = True
             return
 
-        if result.callbacks is None:
-            # Already processed: resume immediately (next tick, delay 0).
-            wakeup = Event(sim)
-            wakeup.callbacks.append(self._resume)
-            if result._ok:
-                wakeup.succeed(result._value)
-            else:
-                result.defused = True
-                wakeup.fail(result._value)
-                wakeup.defused = True
-        else:
-            result.callbacks.append(self._resume)
+        callbacks = result.callbacks
+        if callbacks is not None:
+            callbacks.append(self._wake)
             self._target = result
+            return
+        # Already processed: resume immediately (next tick, delay 0).
+        wakeup = Event(self.sim)
+        wakeup.callbacks.append(self._wake)
+        if result._ok:
+            wakeup.succeed(result._value)
+        else:
+            result.defused = True
+            wakeup.fail(result._value)
+            wakeup.defused = True
 
 
 class _Condition(Event):
@@ -351,16 +365,10 @@ class Simulator:
         ev.succeed(None, delay=when - self._now)
         return ev
 
-    # -- scheduling ------------------------------------------------------
-    def _enqueue(self, event: Event, delay: float, priority: int = NORMAL) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event in the past (delay={delay})")
-        heapq.heappush(self._heap, (self._now + delay, priority, next(self._seq), event))
-
     # -- execution -------------------------------------------------------
     def step(self) -> None:
         """Process exactly one event from the heap."""
-        when, _prio, _seq, event = heapq.heappop(self._heap)
+        when, _prio, _seq, event = heappop(self._heap)
         self._now = when
         callbacks, event.callbacks = event.callbacks, None
         for cb in callbacks:

@@ -162,7 +162,8 @@ class FairShareResource:
     Implementation: on every membership change we advance all remaining
     work by the elapsed time at the old rates, recompute rates, and
     schedule a completion wake-up for the earliest-finishing job.  Stale
-    wake-ups are invalidated with a generation counter.
+    wake-ups are invalidated with a generation counter: each wake-up is
+    an event whose value is the generation it was scheduled in.
     """
 
     def __init__(self, sim: Simulator, capacity: float, name: str = ""):
@@ -211,13 +212,15 @@ class FairShareResource:
             demand = self.capacity
         if demand <= 0:
             raise SimulationError(f"demand must be positive, got {demand}")
-        done = Event(self.sim)
+        sim = self.sim
+        done = Event(sim)
         if work == 0:
             done.succeed(0.0)
             return done
         self._advance()
-        self._flows.append(FlowHandle(work, float(demand), done, self.sim.now))
-        self._total_demand = sum(f.demand for f in self._flows)
+        flows = self._flows
+        flows.append(FlowHandle(work, float(demand), done, sim._now))
+        self._total_demand = sum([f.demand for f in flows])
         self._reschedule()
         return done
 
@@ -239,8 +242,9 @@ class FairShareResource:
     # tests/test_simul_resources.py pins the results bit for bit.
 
     def _advance(self) -> None:
-        """Charge elapsed time against every active flow."""
-        now = self.sim.now
+        """Charge elapsed time against every active flow and complete
+        those whose work reached zero."""
+        now = self.sim._now
         dt = now - self._last_update
         self._last_update = now
         flows = self._flows
@@ -248,20 +252,23 @@ class FairShareResource:
             return
         total = self._total_demand
         cap = self.capacity
+        # The tolerance must absorb FP error of work/rate round-trips on
+        # byte-scale work (~1e-7 absolute); 1e-6 units is < 1 ns of
+        # service for any realistic rate.
+        finished = []
         if total <= cap:
             for flow in flows:
                 flow.work -= flow.demand * dt
+                if flow.work <= 1e-6:
+                    finished.append(flow)
         else:
             for flow in flows:
                 flow.work -= flow.demand * cap / total * dt
-        # Complete flows whose work reached zero.  The tolerance must
-        # absorb FP error of work/rate round-trips on byte-scale work
-        # (~1e-7 absolute); 1e-6 units is < 1 ns of service for any
-        # realistic rate.
-        finished = [f for f in flows if f.work <= 1e-6]
+                if flow.work <= 1e-6:
+                    finished.append(flow)
         if finished:
-            self._flows = [f for f in flows if f.work > 1e-6]
-            self._total_demand = sum(f.demand for f in self._flows)
+            self._flows = flows = [f for f in flows if f.work > 1e-6]
+            self._total_demand = sum([f.demand for f in flows])
             for flow in finished:
                 flow.done.succeed(now - flow.started_at)
 
@@ -271,20 +278,25 @@ class FairShareResource:
         flows = self._flows
         if not flows:
             return
-        gen = self._generation
         total = self._total_demand
         cap = self.capacity
         if total <= cap:
-            eta = min(f.work / f.demand for f in flows)
+            eta = min([f.work / f.demand for f in flows])
         else:
-            eta = min(f.work / (f.demand * cap / total) for f in flows)
+            eta = min([f.work / (f.demand * cap / total) for f in flows])
         # Floor at 1 ns: an ETA below the float ULP of `now` would
         # schedule a wake-up at the same timestamp forever.
         eta = max(eta, 1e-9)
-        self.sim.call_at(self.sim.now + eta, lambda: self._on_wakeup(gen))
+        # The delay is ``when - now`` for ``when = now + eta``, the heap
+        # time ``call_at`` would push (see DESIGN.md).
+        sim = self.sim
+        now = sim._now
+        wakeup = Event(sim)
+        wakeup.callbacks.append(self._on_wakeup)
+        wakeup.succeed(self._generation, delay=(now + eta) - now)
 
-    def _on_wakeup(self, generation: int) -> None:
-        if generation != self._generation:
+    def _on_wakeup(self, wakeup: Event) -> None:
+        if wakeup._value != self._generation:
             return  # stale: membership changed since this was scheduled
         self._advance()
         self._reschedule()

@@ -95,6 +95,8 @@ class SparkApplication(YarnApplication):
         self._task_ids = count(0)
         self._executor_ids = count(1)
         self._rng = None
+        #: This driver attempt's RPC latency, drawn on first use.
+        self._rpc_latency: Optional[float] = None
         #: Containers lost to forced kills (drives the raised launch cap).
         self._relaunches = 0
         #: True while _allocation_loop is pulling grants; replacements
@@ -140,10 +142,14 @@ class SparkApplication(YarnApplication):
 
     # -- hooks used by SparkExecutor ---------------------------------------------
     def rpc_latency(self) -> float:
-        p = self._ctx.services.params
-        return self._rng.child("rpc").lognormal_median(
-            p.rpc_latency_median_s, p.rpc_latency_sigma
-        )
+        # The first draw of a fresh ``rpc`` substream: constant for the
+        # attempt, so it is drawn once and kept.
+        if self._rpc_latency is None:
+            p = self._ctx.services.params
+            self._rpc_latency = self._rng.child("rpc").lognormal_median(
+                p.rpc_latency_median_s, p.rpc_latency_sigma
+            )
+        return self._rpc_latency
 
     def task_threads_per_executor(self) -> int:
         params = self._ctx.services.params
@@ -261,6 +267,7 @@ class SparkApplication(YarnApplication):
         self._ctx = ctx
         self._gate = sim.event()
         self._rng = ctx.services.rng.child(f"spark.{self.app_id}")
+        self._rpc_latency = None
 
         # FIRST_LOG — Table I message 9.
         ctx.logger.info(_AM_CLS, f"Preparing Local resources for {self.app_id}")

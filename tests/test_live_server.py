@@ -94,6 +94,37 @@ class TestStop:
         assert [r.getMessage() for r in caplog.records] == []
 
 
+class TestPollFailure:
+    def test_a_failed_poll_is_logged_and_answered(self, tmp_path, caplog):
+        # Two copies of one directory hold the same daemons, which the
+        # session rejects on its first poll.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        session = LiveSession(
+            [_golden_copy(tmp_path / "a"), _golden_copy(tmp_path / "b")]
+        )
+        with caplog.at_level(logging.ERROR, logger="repro.live"):
+            handle = serve_in_thread(session, poll_interval=0.01)
+            try:
+                with LiveClient(handle.host, handle.port) as client:
+                    response = client.request("apps")
+                    for op in ("diagnostics", "state", "drain"):
+                        assert client.request(op)["error"] == response["error"]
+                    with pytest.raises(QueryError, match="^poll failed: "):
+                        client.decomposition(APP_ID)
+                    assert "repro_live_queries_total" in client.metrics()
+            finally:
+                handle.stop()
+        assert response["ok"] is False
+        assert response["error"].startswith("poll failed: daemon ")
+        assert "appears in both" in response["error"]
+        (record,) = [r for r in caplog.records if r.name == "repro.live"]
+        assert "appears in both" in record.getMessage()
+        # stop() ran the whole close: the listening socket is gone.
+        with pytest.raises(OSError):
+            socket.create_connection((handle.host, handle.port), timeout=1.0)
+
+
 class TestErrors:
     def test_unknown_op(self, handle):
         with LiveClient(handle.host, handle.port) as client:

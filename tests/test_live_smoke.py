@@ -7,6 +7,8 @@ operator would drive it.
 
 from __future__ import annotations
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -31,6 +33,13 @@ def _golden_copy(tmp_path):
     for path in sorted(GOLDEN.iterdir()):
         (logdir / path.name).write_bytes(path.read_bytes())
     return logdir
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: every write raises EPIPE."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
 
 class TestWatch:
@@ -168,6 +177,47 @@ class TestQueryCli:
 
     def test_query_shutdown(self, server, capsys):
         assert self._query(server, "shutdown") == 0
+
+    def test_query_into_a_closed_stdout_exits_quietly(
+        self, server, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        assert self._query(server, "apps") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_closed_stdout_still_reports_an_unreachable_server(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        assert main(["query", "apps", "--port", "1", "--timeout", "1"]) == 1
+        assert "cannot reach" in capsys.readouterr().err
+
+    def test_query_piped_into_a_reader_that_has_gone(self, server):
+        # ``query apps | head -1`` once ``head`` has exited.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [
+                    sys.executable,
+                    "-m",
+                    "repro.live",
+                    "query",
+                    "apps",
+                    "--host",
+                    server.host,
+                    "--port",
+                    str(server.port),
+                ],
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (0, "")
 
 
 class TestServeCli:

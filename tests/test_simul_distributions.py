@@ -1,10 +1,22 @@
 """Tests for the seeded random substreams."""
 
+import pickle
+import zlib
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simul.distributions import RandomSource
+from repro.workloads.scenarios import get_scenario, list_scenarios
+
+
+def _reference(seed: int, name: str) -> np.random.Generator:
+    """The stream ``RandomSource(seed, name)`` must draw."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(zlib.crc32(name.encode()),))
+    )
 
 
 class TestDeterminism:
@@ -29,6 +41,76 @@ class TestDeterminism:
         a = RandomSource(5).child("x").child("y")
         b = RandomSource(5, "root.x.y")
         assert a.uniform() == b.uniform()
+
+
+_NAMES = st.text(min_size=1, max_size=20)
+_STREAM_SEEDS = st.integers(min_value=0, max_value=2**63)
+
+
+class TestStreamIdentity:
+    """The generator is built on first use; it is still the same stream."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=_STREAM_SEEDS, name=_NAMES)
+    def test_first_use_is_a_draw(self, seed, name):
+        ref = _reference(seed, name)
+        source = RandomSource(seed, name)
+        assert [source.uniform() for _ in range(4)] == [
+            float(ref.uniform(0.0, 1.0)) for _ in range(4)
+        ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=_STREAM_SEEDS, name=_NAMES)
+    def test_first_use_is_rng(self, seed, name):
+        assert (
+            RandomSource(seed, name).rng.random(4).tolist()
+            == _reference(seed, name).random(4).tolist()
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=_STREAM_SEEDS, name=_NAMES)
+    def test_pickled_before_the_first_draw(self, seed, name):
+        clone = pickle.loads(pickle.dumps(RandomSource(seed, name)))
+        assert (clone.seed, clone.name) == (seed, name)
+        assert clone.rng.random(4).tolist() == _reference(seed, name).random(4).tolist()
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=_STREAM_SEEDS, name=_NAMES)
+    def test_pickled_after_the_first_draw(self, seed, name):
+        ref = _reference(seed, name)
+        source = RandomSource(seed, name)
+        assert source.rng.random(3).tolist() == ref.random(3).tolist()
+        clone = pickle.loads(pickle.dumps(source))
+        expected = ref.random(4).tolist()
+        assert clone.rng.random(4).tolist() == expected
+        assert source.rng.random(4).tolist() == expected
+
+
+class TestBuildsPerRun:
+    """A run builds each ``(seed, name)`` generator at most once.
+
+    Building one costs tens of microseconds, and a name built twice restarts its
+    stream, so every repeat also repeats draws.
+    """
+
+    @pytest.mark.parametrize("preset", list_scenarios())
+    def test_no_generator_is_built_twice(self, preset, monkeypatch):
+        builds = Counter()
+        real = np.random.SeedSequence
+
+        def counting(entropy, spawn_key):
+            builds[(entropy, spawn_key)] += 1
+            return real(entropy=entropy, spawn_key=spawn_key)
+
+        # RandomSource builds every generator through this attribute.
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        get_scenario(preset).run()
+        repeated = sorted(n for n in builds.values() if n > 1)
+        assert builds and not repeated, (
+            f"{sum(builds.values())} generators built for {len(builds)} "
+            f"(seed, name) pairs; {len(repeated)} pairs built more than "
+            f"once, up to {repeated[-1]} times"
+        )
 
 
 class TestDraws:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.params import GB, SimulationParams
+from repro.simul.distributions import RandomSource
 from repro.spark.application import SparkApplication
 from repro.spark.tasks import StageSpec, Task
 from repro.testbed import Testbed
@@ -40,6 +41,32 @@ class TestMilestones:
     def test_every_executor_ran_tasks(self, single_app_run):
         _bed, app, _report = single_app_run
         assert all(e.tasks_run > 0 for e in app.registered_executors)
+
+
+class TestRpcLatency:
+    def test_every_call_is_the_first_draw_of_a_fresh_rpc_stream(self, monkeypatch):
+        # A per-app constant: item 2 of ROADMAP.md changes it on purpose.
+        calls = []
+        real = SparkApplication.rpc_latency
+
+        def recording(app):
+            value = real(app)
+            calls.append((app, value))
+            return value
+
+        monkeypatch.setattr(SparkApplication, "rpc_latency", recording)
+        bed = Testbed(params=SimulationParams(num_nodes=5), seed=3)
+        apps = [make_query_app("rpc-a", query=1), make_query_app("rpc-b", query=6)]
+        for app in apps:
+            bed.submit(app)
+        bed.run_until_all_finished(limit=5000)
+        p = bed.params
+        assert [sum(1 for a, _ in calls if a is app) > 10 for app in apps] == [True, True]
+        for app, value in calls:
+            first = RandomSource(3, f"root.spark.{app.app_id}.rpc").lognormal_median(
+                p.rpc_latency_median_s, p.rpc_latency_sigma
+            )
+            assert value == first
 
 
 class TestGate:
