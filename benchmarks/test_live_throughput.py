@@ -57,7 +57,8 @@ _DRAINS_PER_SIDE = 5
 #: Conservative floors/ceilings — regression tripwires, not records.
 #: The smoke corpus is so small that fixed per-poll overhead (directory
 #: stats, report rebuilds) dominates, so its floor is far below the
-#: steady-state number (~120k lines/s at the ``small`` scale).
+#: steady-state number (~310k lines/s at the 159k-line ``small`` scale
+#: on 2 vCPUs).
 _MIN_INGEST_LPS = {"smoke": 3_000, "small": 30_000, "paper": 30_000}
 _MAX_QUERY_P99_S = 0.5
 

@@ -14,8 +14,11 @@ ledger included, and appends a trajectory point to
 ``benchmarks/results/BENCH_miner.json``.
 
 Corpus size: ~500k lines under ``REPRO_SCALE=paper`` (the acceptance
-corpus), ~120k under the default ``small`` scale, and ~4k when
+corpus), ~160k under the default ``small`` scale, and 182 when
 ``REPRO_BENCH_SMOKE=1`` (the CI smoke job, which checks equivalence).
+Both timed scales sit above
+:data:`~repro.core.parser.AUTO_SERIAL_THRESHOLD_LINES`, so ``jobs=4``
+is timed only where ``--jobs auto`` would also pick a worker pool.
 The parallel-speedup assertion only runs with at least two usable
 CPUs — on a single-CPU runner a worker pool cannot beat serial and the
 recorded number simply documents that honestly.
@@ -37,8 +40,9 @@ BENCH_FILE = RESULTS_DIR / "BENCH_miner.json"
 _EXECUTORS_PER_APP = 4
 #: Noise lines per executor stream — the corpus knob.  Application logs
 #: dominate real collections, so throughput is decided by how fast the
-#: miner rejects chatter lines.
-_NOISE_LINES = {"smoke": 8, "small": 140, "paper": 600}
+#: miner rejects chatter lines.  ``small`` (159,285 lines) is sized
+#: past ``AUTO_SERIAL_THRESHOLD_LINES``.
+_NOISE_LINES = {"smoke": 8, "small": 900, "paper": 600}
 
 _EXEC_CHATTER = (
     "Starting executor heartbeat thread",

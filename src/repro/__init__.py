@@ -23,13 +23,22 @@ Quick start::
     print(report.summary())
 """
 
-from repro.params import SimulationParams, MB, GB
-from repro.testbed import Testbed
-from repro.spark.application import SparkApplication
-from repro.mapreduce.application import MapReduceApplication
-from repro.core.checker import SDChecker
+import importlib
 
 __version__ = "1.0.0"
+
+#: Where each top-level export lives.  They resolve on first access
+#: (PEP 562), so ``import repro.core`` loads no simulator code and
+#: ``import repro.testbed`` no SDchecker code.
+_EXPORTS = {
+    "GB": "repro.params",
+    "MB": "repro.params",
+    "MapReduceApplication": "repro.mapreduce.application",
+    "SDChecker": "repro.core.checker",
+    "SimulationParams": "repro.params",
+    "SparkApplication": "repro.spark.application",
+    "Testbed": "repro.testbed",
+}
 
 __all__ = [
     "GB",
@@ -41,3 +50,16 @@ __all__ = [
     "Testbed",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

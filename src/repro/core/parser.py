@@ -114,8 +114,8 @@ AUTO_JOBS = "auto"
 
 #: Corpora below this many (estimated) lines mine faster serially than
 #: they can amortize ProcessPoolExecutor spin-up and teardown (~100 ms
-#: against a >1M lines/s serial fast path); BENCH_miner.json shows the
-#: 26k-line small corpus *losing* throughput at ``--jobs 4``.
+#: against a >1M lines/s serial fast path); BENCH_miner.json shows a
+#: 26k-line corpus *losing* throughput at ``--jobs 4``.
 AUTO_SERIAL_THRESHOLD_LINES = 150_000
 
 #: Corpora are sized without reading them: total bytes over the

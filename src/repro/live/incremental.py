@@ -31,7 +31,9 @@ replay-equivalence contract the hypothesis suite pins.
 * a canonical :class:`~repro.core.report.AnalysisReport` rebuilt on
   demand through :func:`repro.core.checker.analyze_events` (the same
   tail the batch :class:`~repro.core.checker.SDChecker` runs), cached
-  per revision so a query storm between two polls costs one rebuild;
+  per revision together with the ``apps`` rows and the per-app
+  ``decomposition`` answers built from it, so a query storm between
+  two polls costs one rebuild and one export;
 * online :class:`~repro.live.metrics.MetricsRegistry` instrumentation
   (ingest counters, tail lag, per-component delay histograms observed
   at app finality);
@@ -61,7 +63,7 @@ __all__ = [
     "LiveMiner",
     "LiveSession",
     "app_rows",
-    "decomposition_entry",
+    "decomposition_entries",
     "diagnostics_dict",
 ]
 
@@ -93,15 +95,20 @@ def app_rows(report: AnalysisReport, final_apps: Set[str]) -> List[dict]:
     ]
 
 
-def decomposition_entry(
-    report: AnalysisReport, final_apps: Set[str], app_id: str
-) -> Optional[dict]:
-    """The ``decomposition`` answer for one app; ``None`` if unknown."""
+def decomposition_entries(
+    report: AnalysisReport, final_apps: Set[str]
+) -> Dict[str, dict]:
+    """Every app's ``decomposition`` answer, keyed by app ID.
+
+    One export of the whole report serves every app; an app missing
+    from the index is an unknown application.
+    """
+    entries = {}
     for entry in report.to_dict()["applications"]:
-        if entry["app_id"] == app_id:
-            status = "final" if app_id in final_apps else "provisional"
-            return {"status": status, **entry}
-    return None
+        app_id = entry["app_id"]
+        status = "final" if app_id in final_apps else "provisional"
+        entries[app_id] = {"status": status, **entry}
+    return entries
 
 
 def diagnostics_dict(report: AnalysisReport, tailing: dict) -> dict:
@@ -298,6 +305,11 @@ class LiveSession:
         #: Bumped whenever mining state changes; keys the report cache.
         self.revision = 0
         self._report_cache: Optional[Tuple[int, AnalysisReport]] = None
+        #: Answers built from the cached report, dropped with it.  App
+        #: status changes only in a poll that bumps the revision, so
+        #: the report's revision keys these too.
+        self._apps_rows: Optional[List[dict]] = None
+        self._entries: Optional[Dict[str, dict]] = None
         self.drained = False
 
     # -- directory plumbing ------------------------------------------------
@@ -511,6 +523,7 @@ class LiveSession:
                 events = [e for e in events if e.app_id not in self._evicted_apps]
             report = analyze_events(events, self.miner.diagnostics())
             self._report_cache = (self.revision, report)
+            self._apps_rows = self._entries = None
             self.metrics.gauge("repro_live_apps").set(len(report.apps))
         if self._pending_component_apps:
             pending = sorted(set(self._pending_component_apps))
@@ -534,12 +547,27 @@ class LiveSession:
         return "final" if app_id in self._final_apps else "provisional"
 
     def apps_payload(self) -> List[dict]:
-        """The ``apps`` query: one status row per application, sorted."""
-        return app_rows(self.report(), self._final_apps)
+        """The ``apps`` query: one status row per application, sorted.
+
+        Built once per revision and shared by every query until the
+        next change, so callers must not mutate it.
+        """
+        report = self.report()
+        if self._apps_rows is None:
+            self._apps_rows = app_rows(report, self._final_apps)
+        return self._apps_rows
 
     def decomposition_payload(self, app_id: str) -> Optional[dict]:
-        """The ``decomposition <app_id>`` query: one app's full breakdown."""
-        return decomposition_entry(self.report(), self._final_apps, app_id)
+        """The ``decomposition <app_id>`` query: one app's full breakdown.
+
+        ``None`` for an unknown app.  Every app's entry is built on the
+        first such query of a revision and shared until the next
+        change, so callers must not mutate it.
+        """
+        report = self.report()
+        if self._entries is None:
+            self._entries = decomposition_entries(report, self._final_apps)
+        return self._entries.get(app_id)
 
     def diagnostics_payload(self) -> dict:
         """The ``diagnostics`` query: mining ledger plus tailer counters."""

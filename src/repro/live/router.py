@@ -50,7 +50,7 @@ from repro.core.report import AnalysisReport
 from repro.live.incremental import (
     LiveMiner,
     app_rows,
-    decomposition_entry,
+    decomposition_entries,
     diagnostics_dict,
 )
 from repro.live.metrics import build_live_registry, merge_metric_states
@@ -239,7 +239,7 @@ class RouterServer(JsonLineServer):
                 if op == "apps":
                     return app_rows(report, final)
                 if op == "decomposition":
-                    return decomposition_entry(report, final, app_id)
+                    return decomposition_entries(report, final).get(app_id)
                 return {
                     **diagnostics_dict(report, state),
                     "shards": len(self.shards),

@@ -87,8 +87,8 @@ DEFAULT_QUEUE_DEPTH = 64
 #: items still queued, ``queue.join()`` would otherwise wait forever.
 DRAIN_TIMEOUT = 5.0
 
-#: Ops that read the session's mined data; after a failed poll they
-#: answer with the poll's error instead of a stale or empty answer.
+#: Ops that read the session's mined data; after a failed poll or
+#: drain they answer with its error instead of a stale or empty answer.
 _DATA_OPS = ("apps", "decomposition", "diagnostics", "state", "drain")
 
 _log = logging.getLogger("repro.live")
@@ -292,7 +292,8 @@ class LiveServer(JsonLineServer):
         self.poll_interval = poll_interval
         self._poll_enabled = poll
         self._poll_task: Optional[asyncio.Task] = None
-        #: What the poll that stopped the poll loop raised, if one did.
+        #: What the poll or drain that stopped serving data raised, if
+        #: one did.
         self._poll_error: Optional[Exception] = None
 
     @property
@@ -310,16 +311,21 @@ class LiveServer(JsonLineServer):
             with contextlib.suppress(asyncio.CancelledError):
                 await self._poll_task
 
+    def _stop_serving_data(self, exc: Exception) -> None:
+        """A poll or drain raised: its chunks may be half ingested.
+
+        Serving on would answer wrong data, so every later data query
+        answers with the error instead, and the poll loop stops.
+        """
+        self._poll_error = exc
+        _log.error("poll failed, serving no data: %s", exc, exc_info=exc)
+
     async def _poll_loop(self) -> None:
-        while not self._shutdown.is_set():
+        while not self._shutdown.is_set() and self._poll_error is None:
             try:
                 self.session.poll()
             except Exception as exc:  # noqa: BLE001 - answered to data queries
-                # This poll's chunks may be half ingested, so polling on
-                # would serve wrong data: stop, and let every later data
-                # query answer with the error.
-                self._poll_error = exc
-                _log.error("poll failed, serving no data: %s", exc, exc_info=exc)
+                self._stop_serving_data(exc)
                 return
             try:
                 await asyncio.wait_for(
@@ -347,7 +353,11 @@ class LiveServer(JsonLineServer):
         if op == "state":
             return self.session.state_payload()
         if op == "drain":
-            self.session.drain()
+            try:
+                self.session.drain()
+            except Exception as exc:  # noqa: BLE001 - answered to data queries
+                self._stop_serving_data(exc)
+                raise RequestError(f"poll failed: {exc}") from exc
             return self.session.state_payload()
         # shutdown: the connection handler stops the server once this
         # answer has flushed.

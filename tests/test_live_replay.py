@@ -449,3 +449,104 @@ class TestProvisionalStatus:
         session.poll()
         (app,) = session.apps_payload()
         assert app["status"] == "final"
+
+
+class TestAnswerCache:
+    """``apps`` and ``decomposition`` answers are built once per revision.
+
+    The session grows from one provisional app to three, then the first
+    one finishes; after every poll the cached answers must equal the
+    uncached builders over ``report()``, and however many queries run
+    between two polls, the whole report is exported at most once.
+    """
+
+    UNKNOWN = "application_1515715200000_9999"
+
+    @staticmethod
+    def _app_streams(number):
+        """Golden's streams with app ``_0001`` renumbered: name -> lines."""
+        tag = f"_{number:04d}"
+        return {
+            name.replace("_0001_", f"{tag}_"): data.replace(
+                b"_0001", tag.encode()
+            ).splitlines(keepends=True)
+            for name, data in _corpus()
+        }
+
+    @staticmethod
+    def _append(directory, streams):
+        for name, lines in streams.items():
+            with (directory / name).open("ab") as handle:
+                handle.write(b"".join(lines))
+
+    def _queried(self, session, calls):
+        """Query every app three times; (rows, entries, to_dict calls)."""
+        before = len(calls)
+        for _ in range(3):
+            rows = session.apps_payload()
+            entries = {
+                row["app_id"]: session.decomposition_payload(row["app_id"])
+                for row in rows
+            }
+            assert session.decomposition_payload(self.UNKNOWN) is None
+        return rows, entries, len(calls) - before
+
+    def test_answers_match_the_builders_and_export_once_per_revision(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.report import AnalysisReport
+        from repro.live.incremental import app_rows, decomposition_entries
+
+        calls = []
+        original = AnalysisReport.to_dict
+
+        def spy(report, *args, **kwargs):
+            calls.append(report)
+            return original(report, *args, **kwargs)
+
+        monkeypatch.setattr(AnalysisReport, "to_dict", spy)
+
+        rm = "hadoop-resourcemanager.log"
+        apps = {number: self._app_streams(number) for number in (1, 2, 3)}
+        terminal = {number: streams[rm][-1:] for number, streams in apps.items()}
+        for streams in apps.values():
+            assert b"to FINISHED" in streams[rm][-1]
+            streams[rm] = streams[rm][:-1]
+
+        session = LiveSession(tmp_path)
+        schedule = [
+            # app 1 without its terminal transition
+            lambda: self._append(tmp_path, apps[1]),
+            # apps 2 and 3 arrive, also unfinished
+            lambda: (self._append(tmp_path, apps[2]),
+                     self._append(tmp_path, apps[3])),
+            # app 1 finishes
+            lambda: self._append(tmp_path, {rm: terminal[1]}),
+            # nothing new: the same revision answers again
+            lambda: None,
+        ]
+        statuses = []
+        last_revision = None
+        for grow in schedule:
+            grow()
+            session.poll()
+            rows, entries, exports = self._queried(session, calls)
+            assert exports == (0 if session.revision == last_revision else 1)
+            last_revision = session.revision
+
+            report = session.report()
+            final = {
+                app.app_id
+                for app in report.apps
+                if session.app_status(app.app_id) == "final"
+            }
+            assert json.dumps(rows) == json.dumps(app_rows(report, final))
+            assert json.dumps(entries) == json.dumps(
+                decomposition_entries(report, final)
+            )
+            statuses.append([(row["app_id"][-4:], row["status"]) for row in rows])
+
+        provisional = [("0001", "provisional"), ("0002", "provisional"),
+                       ("0003", "provisional")]
+        finished = [("0001", "final")] + provisional[1:]
+        assert statuses == [provisional[:1], provisional, finished, finished]

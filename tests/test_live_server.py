@@ -125,6 +125,35 @@ class TestPollFailure:
             socket.create_connection((handle.host, handle.port), timeout=1.0)
 
 
+    def test_a_failed_drain_is_logged_and_answered(self, tmp_path, caplog):
+        # No poll loop: the duplicate daemons first meet in ``drain``.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        session = LiveSession(
+            [_golden_copy(tmp_path / "a"), _golden_copy(tmp_path / "b")]
+        )
+        with caplog.at_level(logging.ERROR):
+            handle = serve_in_thread(session, poll=False)
+            try:
+                with LiveClient(handle.host, handle.port) as client:
+                    response = client.request("drain")
+                    for op in ("drain", "apps", "diagnostics", "state"):
+                        assert client.request(op) == {**response, "op": op}
+                    assert "repro_live_queries_total" in client.metrics()
+                with LiveClient(handle.host, handle.port) as client:
+                    with pytest.raises(QueryError, match="^poll failed: "):
+                        client.apps()
+            finally:
+                handle.stop()
+        assert response["ok"] is False
+        assert response["error"].startswith("poll failed: daemon ")
+        assert "appears in both" in response["error"]
+        # Logged once on repro.live; nothing escaped to asyncio.
+        (record,) = [r for r in caplog.records if r.name == "repro.live"]
+        assert "appears in both" in record.getMessage()
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+
 class TestErrors:
     def test_unknown_op(self, handle):
         with LiveClient(handle.host, handle.port) as client:

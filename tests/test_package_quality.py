@@ -1,7 +1,13 @@
 """Package-level quality gates: imports, exports, docstrings."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +57,75 @@ class TestExports:
         module = importlib.import_module(module_name)
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name}.{name}"
+
+
+class TestImportFootprint:
+    """SDchecker and the live service load only what they use.
+
+    Every check runs in a fresh interpreter, because this one has long
+    since imported the simulator and networkx.
+    """
+
+    #: Simulator packages: SDchecker reads text and must not load them.
+    SIMULATOR = ("repro.testbed", "repro.simul", "repro.yarn", "repro.spark",
+                 "repro.cluster", "repro.hdfs")
+
+    #: Runs ``sdchecker <logdir>`` in-process, optionally with networkx
+    #: made unimportable, then imports the live CLI; prints the exit
+    #: code, the report and every loaded ``repro`` module as JSON.
+    PROBE = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        if sys.argv[1] == "no-networkx":
+            sys.modules["networkx"] = None
+        from repro.core import cli
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([sys.argv[2]])
+        import repro.live.cli
+        loaded = sorted(name for name in sys.modules if name.startswith("repro"))
+        print(json.dumps({"code": code, "report": out.getvalue(), "loaded": loaded}))
+        """
+    )
+
+    def _probe(self, mode: str) -> dict:
+        root = Path(repro.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE, mode,
+             str(root / "tests" / "data" / "golden")],
+            env=env, cwd=root, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    def test_sdchecker_and_live_run_without_networkx_or_the_simulator(self):
+        blocked = self._probe("no-networkx")
+        assert blocked["code"] == 0
+        assert "repro.live.cli" in blocked["loaded"]
+        simulator = [
+            name for name in blocked["loaded"]
+            if any(name == pkg or name.startswith(pkg + ".")
+                   for pkg in self.SIMULATOR)
+        ]
+        assert simulator == []
+        reference = self._probe("networkx")
+        assert reference["code"] == 0
+        assert blocked["report"] == reference["report"]
+        assert "total_delay" in blocked["report"]
+
+    def test_lazy_exports_still_resolve(self):
+        for name in repro.__all__:
+            assert getattr(repro, name) is not None, name
+        assert set(repro.__all__) <= set(dir(repro))
+        from repro.core import SchedulingGraph
+        from repro.core.graph import SchedulingGraph as defined
+
+        assert SchedulingGraph is defined
+        with pytest.raises(AttributeError):
+            repro.NoSuchExport
+        with pytest.raises(AttributeError):
+            importlib.import_module("repro.core").NoSuchExport
 
 
 class TestDocstrings:
