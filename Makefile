@@ -75,10 +75,10 @@ bench-sim:
 
 # Seeded corruption sweep over the golden corpus: every catalog
 # corruption x seed must leave analyze() crash-free, and the
-# identity-preserving ones byte-identical.  REPRO_BENCH_SMOKE=1 (set
-# here) shrinks the sweep to CI size; unset it for the full 25 seeds.
+# identity-preserving ones byte-identical.  --seeds 5 is the CI size;
+# drop it for the full 25 seeds.
 fuzz-smoke:
-	REPRO_BENCH_SMOKE=1 PYTHONPATH=src $(PYTHON) -m repro.faults sweep tests/data/golden
+	PYTHONPATH=src $(PYTHON) -m repro.faults sweep tests/data/golden --seeds 5
 
 examples:
 	$(PYTHON) examples/quickstart.py

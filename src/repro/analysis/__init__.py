@@ -13,11 +13,11 @@ if someone stares at the numbers.
 PRs 2-5 added a second implicit contract: the miner's parallel fast
 path and the live asyncio server promise byte-identical, low-latency
 answers, which only holds if nothing blocks the event loop and nothing
-leaks state across the process boundary.  A whole-program resolver
-(:mod:`repro.analysis.callgraph`) indexes every module once — relative
-imports, chained re-export aliases, best-effort receiver types — and
-computes a call graph with reachability, so the concurrency passes can
-reason across files.
+leaks state across the process boundary.  Every pass reads one
+:class:`~repro.analysis.callgraph.ProjectIndex` per run: each module
+parsed once, every import (function-local ones included) resolved one
+way, and one call graph with reachability, so the concurrency passes
+can reason across files.
 
 This package machine-checks both contracts with five static passes:
 
@@ -50,36 +50,47 @@ that times every event-loop callback and spot-checks executor payload
 picklability and worker determinism, reporting through the same
 :class:`Finding` model.
 
-Run it as ``python -m repro.analysis`` (see :mod:`repro.analysis.cli`);
-known-accepted findings live in the checked-in ``sdlint.baseline``.
+Run it as ``python -m repro.analysis`` (see :mod:`repro.analysis.cli`)
+or :func:`run_all`; known-accepted findings live in the checked-in
+``sdlint.baseline``.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
+import repro
 from repro.analysis.findings import Finding, RULES, sort_findings
 
-__all__ = ["Finding", "RULES", "run_all", "sort_findings"]
+__all__ = ["Finding", "PASSES", "RULES", "default_root", "run_all", "sort_findings"]
+
+#: The five static passes, by module name; each module's
+#: ``analyze(index)`` is its one entry point.
+PASSES = ("catalog", "statemachines", "determinism", "asyncsafety", "procsafety")
 
 
-def run_all(root: Optional[Path] = None) -> List[Finding]:
-    """Run all five passes over ``root`` (the directory holding ``repro``)."""
-    from repro.analysis import (
-        asyncsafety,
-        catalog,
-        determinism,
-        procsafety,
-        statemachines,
+def default_root() -> Path:
+    """The directory containing the installed ``repro`` package."""
+    return Path(repro.__file__).resolve().parents[1]
+
+
+def run_all(
+    root: Optional[Path] = None, passes: Sequence[str] = PASSES
+) -> List[Finding]:
+    """Run ``passes`` over ``root`` (the directory holding ``repro``).
+
+    One :class:`~repro.analysis.callgraph.ProjectIndex` serves the
+    whole run: every file is parsed once, and the passes share its call
+    graph and its extracted state machines.
+    """
+    from importlib import import_module
+
+    from repro.analysis.callgraph import ProjectIndex
+
+    index = ProjectIndex.build(Path(root) if root is not None else default_root())
+    return sort_findings(
+        finding
+        for name in passes
+        for finding in import_module(f"repro.analysis.{name}").analyze(index)
     )
-    from repro.analysis.cli import default_root
-
-    root = Path(root) if root is not None else default_root()
-    findings: List[Finding] = []
-    findings.extend(catalog.run(root))
-    findings.extend(statemachines.run(root))
-    findings.extend(determinism.run(root))
-    findings.extend(asyncsafety.run(root))
-    findings.extend(procsafety.run(root))
-    return sort_findings(findings)

@@ -31,18 +31,17 @@ silence, not noise.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import (
     CallGraph,
     FunctionInfo,
-    local_bindings,
+    ProjectIndex,
     walk_own_body,
 )
 from repro.analysis.findings import Finding, make_finding, sort_findings
 
-__all__ = ["BLOCKING_CALLS", "TASK_SPAWNERS", "analyze", "run", "scan_sources"]
+__all__ = ["BLOCKING_CALLS", "TASK_SPAWNERS", "analyze"]
 
 #: Canonical dotted names whose call blocks the calling thread.  The
 #: bare names (``open``) are how the resolver reports unshadowed
@@ -62,6 +61,9 @@ BLOCKING_CALLS = frozenset(
         "socket.getaddrinfo",
         "socket.gethostbyname",
         "urllib.request.urlopen",
+        "os.open",
+        "os.read",
+        "os.pread",
         "os.scandir",
         "os.listdir",
         "os.walk",
@@ -136,11 +138,10 @@ def _blocking_findings(graph: CallGraph, start: FunctionInfo) -> List[Finding]:
 def _unawaited_findings(graph: CallGraph, func: FunctionInfo) -> List[Finding]:
     findings: List[Finding] = []
     local_types = graph.local_types(func)
-    bound = local_bindings(func.node)
     for node in walk_own_body(func.node):
         if not isinstance(node, ast.Expr) or not isinstance(node.value, ast.Call):
             continue
-        target = graph.resolve_call(func, node.value, local_types, bound)
+        target = graph.resolve_callee(func, node.value.func, local_types)
         if target is None:
             continue
         kind, name = target
@@ -188,33 +189,17 @@ def _is_unbounded_queue_call(call: ast.Call) -> bool:
     return False  # a computed bound: assume the caller knows
 
 
-def _queue_findings(graph: CallGraph, func: FunctionInfo) -> List[Finding]:
+def _queue_findings(index: ProjectIndex, func: FunctionInfo) -> List[Finding]:
     findings: List[Finding] = []
-    index = graph.index
     info = index.modules[func.module]
     queue_vars: Set[str] = set()
-
-    def canonical(expr: ast.expr) -> Optional[str]:
-        parts: List[str] = []
-        node = expr
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        parts.append(node.id)
-        parts.reverse()
-        return index.resolve_dotted_in(info, ".".join(parts))
 
     # Parameters annotated as queues count too (the shutdown-path
     # helpers receive the connection queue as an argument).
     args = func.node.args
     for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
-        if arg.annotation is not None and not isinstance(
-            arg.annotation, ast.Constant
-        ):
-            if canonical(arg.annotation) in _QUEUE_CONSTRUCTORS:
-                queue_vars.add(arg.arg)
+        if index.canonical(info, arg.annotation) in _QUEUE_CONSTRUCTORS:
+            queue_vars.add(arg.arg)
 
     # First sweep: constructions (flag unbounded ones) and annotations.
     for node in walk_own_body(func.node):
@@ -224,10 +209,7 @@ def _queue_findings(graph: CallGraph, func: FunctionInfo) -> List[Finding]:
             call = node.value
             names = [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            resolved = canonical(node.annotation) if not isinstance(
-                node.annotation, ast.Constant
-            ) else None
-            if resolved in _QUEUE_CONSTRUCTORS:
+            if index.canonical(info, node.annotation) in _QUEUE_CONSTRUCTORS:
                 queue_vars.add(node.target.id)
             if isinstance(node.value, ast.Call):
                 call = node.value
@@ -236,7 +218,7 @@ def _queue_findings(graph: CallGraph, func: FunctionInfo) -> List[Finding]:
             call = node
         if call is None:
             continue
-        resolved = canonical(call.func)
+        resolved = index.canonical(info, call.func)
         if resolved not in _QUEUE_CONSTRUCTORS:
             continue
         queue_vars.update(names)
@@ -280,25 +262,16 @@ def _queue_findings(graph: CallGraph, func: FunctionInfo) -> List[Finding]:
 
 # -- entry points ----------------------------------------------------------
 
-def analyze(graph: CallGraph) -> List[Finding]:
-    """All SD4xx findings over an already-built call graph."""
+def analyze(index: ProjectIndex) -> List[Finding]:
+    """All SD4xx findings over the index's call graph."""
+    graph = index.call_graph
     findings: List[Finding] = []
     seen: Set[str] = set()
-    for qualname in sorted(graph.index.functions):
-        func = graph.index.functions[qualname]
+    for qualname in sorted(index.functions):
+        func = index.functions[qualname]
         if func.is_async:
             findings.extend(_blocking_findings(graph, func))
         findings.extend(_unawaited_findings(graph, func))
-        findings.extend(_queue_findings(graph, func))
+        findings.extend(_queue_findings(index, func))
     unique = [f for f in findings if f.key not in seen and not seen.add(f.key)]
     return sort_findings(unique)
-
-
-def scan_sources(sources: Dict[str, str]) -> List[Finding]:
-    """SD4xx findings for an in-memory ``{path: source}`` tree (tests)."""
-    return analyze(CallGraph.from_sources(sources))
-
-
-def run(root: Path) -> List[Finding]:
-    """The async-safety pass entry point used by the CLI."""
-    return analyze(CallGraph.build(root))

@@ -1,29 +1,30 @@
-"""Whole-program symbol resolution and call graph for sdlint.
+"""The project index and call graph that every sdlint pass reads.
 
-The SD1xx-SD3xx passes are *per-file* AST walks: enough for catalog
-coverage and syntactic determinism hazards, but blind to everything PRs
-2-5 moved behind concurrency boundaries.  Whether a blocking call is
-reachable from an ``async def`` body, or whether a function submitted
-to a :class:`~concurrent.futures.ProcessPoolExecutor` mutates module
-globals three calls down, is a *whole-program* question.  This module
-answers it, statically, in two layers:
+Catalog coverage and syntactic determinism hazards are per-file
+questions, but whether a blocking call is reachable from an
+``async def`` body, or whether a function submitted to a
+:class:`~concurrent.futures.ProcessPoolExecutor` mutates module globals
+three calls down, is a *whole-program* question.  One sdlint run
+answers all of them from one index, built statically in two layers:
 
 * :class:`ProjectIndex` — every module under the scan root parsed once,
-  with import aliases resolved (including the relative imports the
-  per-file ``_ModuleNames`` historically dropped) into a project-wide
-  symbol table.  :meth:`ProjectIndex.resolve_dotted` canonicalizes a
-  dotted name across chained aliases: ``repro.pkg.compat.now`` follows
-  ``compat``'s own ``from time import time as now`` back to
-  ``time.time``, so in-package re-exports no longer hide banned calls.
+  with every import it makes (module-level, function-local and
+  ``TYPE_CHECKING`` ones, relative imports included) recorded as an
+  alias.  :meth:`ProjectIndex.canonical` is the one way an expression
+  becomes a canonical dotted name: it canonicalizes across chained
+  aliases, so ``repro.pkg.compat.now`` follows ``compat``'s own
+  ``from time import time as now`` back to ``time.time``, and
+  in-package re-exports cannot hide banned calls.
 * :class:`CallGraph` — function-level call edges on top of the index,
   with best-effort *type* resolution for the receiver patterns the
   codebase actually uses: ``self.method()``, ``self.attr.method()``
   where the attribute type is pinned by an ``__init__`` annotation or
   constructor call, locals assigned from known constructors or from
   calls with annotated return types, and ``with Cls() as name`` blocks.
-  :meth:`CallGraph.reachable_blocking` style queries return the
-  shortest call chain, so a finding can *name the path* from an async
-  body to the ``open()`` five frames down.
+  :meth:`CallGraph.reachable` returns shortest-path parent pointers, so
+  a finding can *name the path* from an async body to the ``open()``
+  five frames down.  :attr:`ProjectIndex.call_graph` builds it once per
+  index.
 
 Everything is a pure AST analysis; nothing is imported or executed.
 Resolution is deliberately best-effort and *under*-approximate: an
@@ -36,10 +37,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.analysis.extract import iter_source_files
+from repro.analysis.extract import StateMachineSpec, extract_state_machines
 
 __all__ = [
     "CallGraph",
@@ -134,6 +136,11 @@ class FunctionInfo:
             return ".".join(parts[-2:])
         return parts[-1]
 
+    @cached_property
+    def bound(self) -> Set[str]:
+        """Every name the body binds (see :func:`local_bindings`)."""
+        return local_bindings(self.node)
+
 
 @dataclass
 class ClassInfo:
@@ -170,7 +177,8 @@ class ModuleInfo:
     path: str
     tree: ast.Module
     is_package: bool
-    #: local alias -> canonical dotted target (modules and names both).
+    #: local alias -> canonical dotted target (modules and names both),
+    #: for every import anywhere in the module.
     aliases: Dict[str, str] = field(default_factory=dict)
     #: Top-level assigned names (the SD501 global-mutation universe).
     global_names: Set[str] = field(default_factory=set)
@@ -191,10 +199,11 @@ class ProjectIndex:
     # -- construction ------------------------------------------------------
     @classmethod
     def build(cls, root: Path) -> "ProjectIndex":
-        """Parse every source file under ``root`` (or ``root/repro``)."""
+        """Parse every ``*.py`` file under ``root/repro`` (or ``root``)."""
         root = Path(root)
+        base = root / "repro" if (root / "repro").is_dir() else root
         sources: Dict[str, str] = {}
-        for path in iter_source_files(root):
+        for path in filter(Path.is_file, base.rglob("*.py")):
             try:
                 rel = path.resolve().relative_to(root.resolve()).as_posix()
             except ValueError:
@@ -204,7 +213,10 @@ class ProjectIndex:
 
     @classmethod
     def from_sources(cls, sources: Dict[str, str]) -> "ProjectIndex":
-        """Build from a ``{project-relative path: source}`` mapping."""
+        """Build from a ``{project-relative path: source}`` mapping.
+
+        A file that does not parse is left out of the index.
+        """
         index = cls()
         for path in sorted(sources):
             try:
@@ -218,6 +230,16 @@ class ProjectIndex:
             index._infer_attr_types(info)
         return index
 
+    @cached_property
+    def call_graph(self) -> "CallGraph":
+        """The call graph over this index, built on first use."""
+        return CallGraph(self)
+
+    @cached_property
+    def state_machines(self) -> List[StateMachineSpec]:
+        """Every ``TRANSITIONS``-table machine, extracted on first use."""
+        return extract_state_machines(self)
+
     def _add_module(self, path: str, tree: ast.Module) -> None:
         name = module_name_of(path)
         info = ModuleInfo(
@@ -226,7 +248,7 @@ class ProjectIndex:
             tree=tree,
             is_package=path.endswith("__init__.py"),
         )
-        for node in tree.body:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname:
@@ -250,16 +272,17 @@ class ProjectIndex:
                     info.aliases[alias.asname or alias.name] = (
                         f"{base}.{alias.name}"
                     )
-            elif isinstance(node, ast.Assign):
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         info.global_names.add(target.id)
             elif isinstance(node, ast.AnnAssign):
                 if isinstance(node.target, ast.Name):
                     info.global_names.add(node.target.id)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info.global_names.add(node.name)
-            elif isinstance(node, ast.ClassDef):
+            elif isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
                 info.global_names.add(node.name)
         self.modules[name] = info
         self.modules_by_path[path] = info
@@ -273,11 +296,9 @@ class ProjectIndex:
             elif isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target, value = node.targets[0], node.value
                 if isinstance(target, ast.Name) and isinstance(value, ast.Call):
-                    dotted = _dotted_of(value.func)
-                    if dotted is not None:
-                        resolved = self.resolve_dotted_in(info, dotted)
-                        if resolved is not None:
-                            info.global_instances[target.id] = resolved
+                    resolved = self.canonical(info, value.func)
+                    if resolved is not None:
+                        info.global_instances[target.id] = resolved
 
     def _add_function(
         self, info: ModuleInfo, node: _FuncNode, cls: Optional[str]
@@ -317,7 +338,7 @@ class ProjectIndex:
         for base in node.bases:
             dotted = _dotted_of(base)
             if dotted is not None:
-                bases.append(self.resolve_dotted_in(info, dotted) or dotted)
+                bases.append(self.canonical(info, base) or dotted)
         is_dataclass = any(
             (_dotted_of(dec) or _dotted_of(getattr(dec, "func", None) or dec) or "")
             .split(".")[-1]
@@ -379,18 +400,27 @@ class ProjectIndex:
             return self.resolve_dotted(resolved, _depth + 1)
         return dotted
 
-    def resolve_dotted_in(
-        self, info: ModuleInfo, dotted: str
+    def canonical(
+        self, info: ModuleInfo, expr: Optional[ast.AST]
     ) -> Optional[str]:
-        """Canonicalize ``dotted`` as written inside module ``info``."""
-        parts = dotted.split(".")
-        target = info.aliases.get(parts[0])
-        if target is not None:
-            return self.resolve_dotted(".".join([target] + parts[1:]))
-        # A module-level definition referenced by bare name.
-        if parts[0] in info.global_names:
-            return self.resolve_dotted(f"{info.name}.{dotted}")
-        return None
+        """Canonical dotted name of a name/attribute chain in ``info``.
+
+        The chain's root is looked up among the module's imports, then
+        among its top-level definitions, and the result is followed
+        across chained project aliases (:meth:`resolve_dotted`).  None
+        for any other expression, or when the module binds the root by
+        neither an import nor a top-level definition.
+        """
+        dotted = _dotted_of(expr)
+        if dotted is None:
+            return None
+        head, _, rest = dotted.partition(".")
+        target = info.aliases.get(head)
+        if target is None:
+            if head not in info.global_names:
+                return None
+            target = f"{info.name}.{head}"
+        return self.resolve_dotted(f"{target}.{rest}" if rest else target)
 
     def resolve_annotation(
         self, info: ModuleInfo, annotation: Optional[ast.expr]
@@ -401,15 +431,7 @@ class ProjectIndex:
         ``Optional[...]`` / ``X | None`` unwrap — the shapes the
         codebase uses for attributes the passes care about.
         """
-        if annotation is None:
-            return None
-        if isinstance(annotation, ast.Constant) and isinstance(
-            annotation.value, str
-        ):
-            try:
-                annotation = ast.parse(annotation.value, mode="eval").body
-            except SyntaxError:
-                return None
+        annotation = _annotation_expr(annotation)
         if isinstance(annotation, ast.Subscript):
             head = _dotted_of(annotation.value)
             if head is not None and head.split(".")[-1] == "Optional":
@@ -423,10 +445,7 @@ class ProjectIndex:
                 if resolved is not None:
                     return resolved
             return None
-        dotted = _dotted_of(annotation)
-        if dotted is None:
-            return None
-        resolved = self.resolve_dotted_in(info, dotted)
+        resolved = self.canonical(info, annotation)
         if resolved is not None and resolved in self.classes:
             return resolved
         return None
@@ -450,15 +469,7 @@ class ProjectIndex:
         first resolvable element.  Anything else is None — a plain
         class annotation says nothing about its iteration elements.
         """
-        if annotation is None:
-            return None
-        if isinstance(annotation, ast.Constant) and isinstance(
-            annotation.value, str
-        ):
-            try:
-                annotation = ast.parse(annotation.value, mode="eval").body
-            except SyntaxError:
-                return None
+        annotation = _annotation_expr(annotation)
         if not isinstance(annotation, ast.Subscript):
             return None
         head = _dotted_of(annotation.value)
@@ -484,21 +495,12 @@ class ProjectIndex:
         ``Tuple[List[SchedulingEvent], StreamDiagnostics]`` yields both
         classes — the worker->parent payload universe SD502 audits.
         """
+        annotation = _annotation_expr(annotation)
         if annotation is None:
             return []
-        if isinstance(annotation, ast.Constant) and isinstance(
-            annotation.value, str
-        ):
-            try:
-                annotation = ast.parse(annotation.value, mode="eval").body
-            except SyntaxError:
-                return []
         found: List[str] = []
         for node in ast.walk(annotation):
-            dotted = _dotted_of(node)
-            if dotted is None:
-                continue
-            resolved = self.resolve_dotted_in(info, dotted)
+            resolved = self.canonical(info, node)
             if resolved is not None and resolved in self.classes:
                 if resolved not in found:
                     found.append(resolved)
@@ -604,10 +606,7 @@ class ProjectIndex:
                 info, value.body, local_types
             ) or self._value_type(info, value.orelse, local_types)
         if isinstance(value, ast.Call):
-            dotted = _dotted_of(value.func)
-            if dotted is None:
-                return None
-            resolved = self.resolve_dotted_in(info, dotted)
+            resolved = self.canonical(info, value.func)
             if resolved is None:
                 return None
             if resolved in self.classes:
@@ -633,6 +632,16 @@ def _dotted_of(node: Optional[ast.AST]) -> Optional[str]:
     return ".".join(parts)
 
 
+def _annotation_expr(annotation: Optional[ast.expr]) -> Optional[ast.expr]:
+    """The annotation, with a string annotation parsed (None if it fails)."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        try:
+            return ast.parse(annotation.value, mode="eval").body
+        except SyntaxError:
+            return None
+    return annotation
+
+
 def walk_own_body(func_node: _FuncNode):
     """``ast.walk`` over a function body, *excluding* nested defs.
 
@@ -654,7 +663,8 @@ def local_bindings(func_node: _FuncNode) -> Set[str]:
     loop/with/except targets, comprehension variables, nested defs.
 
     Used to keep local variables from masquerading as module or builtin
-    calls during resolution.
+    calls during resolution.  Names bound by a function-local import are
+    left out: the module's aliases resolve them.
     """
     bound: Set[str] = set()
     args = func_node.args
@@ -681,24 +691,28 @@ def local_bindings(func_node: _FuncNode) -> Set[str]:
 
 
 class CallGraph:
-    """Function-level call edges over a :class:`ProjectIndex`."""
+    """Function-level call edges over a :class:`ProjectIndex`.
+
+    Build it through :attr:`ProjectIndex.call_graph`, which keeps one
+    per index: construction appends each function's edges to its
+    :class:`FunctionInfo`.
+    """
 
     def __init__(self, index: ProjectIndex):
         self.index = index
+        self._local_types: Dict[str, Dict[str, str]] = {}
         for qualname in sorted(index.functions):
             self._resolve_function(index.functions[qualname])
-
-    @classmethod
-    def build(cls, root: Path) -> "CallGraph":
-        return cls(ProjectIndex.build(root))
-
-    @classmethod
-    def from_sources(cls, sources: Dict[str, str]) -> "CallGraph":
-        return cls(ProjectIndex.from_sources(sources))
 
     # -- per-function resolution -------------------------------------------
     def local_types(self, func: FunctionInfo) -> Dict[str, str]:
         """Parameter/local variable -> project class qualname."""
+        types = self._local_types.get(func.qualname)
+        if types is None:
+            types = self._local_types[func.qualname] = self._infer_types(func)
+        return types
+
+    def _infer_types(self, func: FunctionInfo) -> Dict[str, str]:
         index = self.index
         info = index.modules[func.module]
         types: Dict[str, str] = {}
@@ -754,7 +768,6 @@ class CallGraph:
     ) -> Optional[str]:
         """Project class type of an expression inside ``func``."""
         index = self.index
-        info = index.modules[func.module]
         if isinstance(expr, ast.Name):
             if expr.id == "self" and func.cls is not None:
                 return func.cls
@@ -771,7 +784,7 @@ class CallGraph:
                 return index.lookup_attr_type(owner, expr.attr)
             return None
         if isinstance(expr, ast.Call):
-            target = self.resolve_call(func, expr, local_types)
+            target = self.resolve_callee(func, expr.func, local_types)
             if target is None:
                 return None
             kind, name = target
@@ -784,39 +797,27 @@ class CallGraph:
                     return index.resolve_annotation(owner, callee.node.returns)
         return None
 
-    def resolve_call(
-        self,
-        func: FunctionInfo,
-        call: ast.Call,
-        local_types: Dict[str, str],
-        bound: Optional[Set[str]] = None,
-    ) -> Optional[Tuple[str, str]]:
-        """Resolve a call target to one of
-        ``("project", function qualname)``, ``("class", class qualname)``
-        (a constructor), or ``("external", canonical dotted name)``.
-        """
-        if bound is None:
-            bound = local_bindings(func.node)
-        return self._resolve_callee(func, call.func, local_types, bound)
-
-    def _resolve_callee(
+    def resolve_callee(
         self,
         func: FunctionInfo,
         callee: ast.expr,
         local_types: Dict[str, str],
-        bound: Set[str],
     ) -> Optional[Tuple[str, str]]:
+        """Resolve a call target expression inside ``func`` to one of
+        ``("project", function qualname)``, ``("class", class qualname)``
+        (a constructor), or ``("external", canonical dotted name)``.
+        """
         index = self.index
         info = index.modules[func.module]
+        bound = func.bound
         if isinstance(callee, ast.Name):
-            name = callee.id
-            if name in bound:
+            if callee.id in bound:
                 return None  # calling a local binding: out of scope
-            resolved = index.resolve_dotted_in(info, name)
+            resolved = index.canonical(info, callee)
             if resolved is not None:
                 return self._classify(resolved)
             # Unshadowed bare name: a builtin (``open``, ``print``).
-            return ("external", name)
+            return ("external", callee.id)
         if isinstance(callee, ast.Attribute):
             # Receiver with a known project type: method lookup in MRO.
             receiver_type = self._expr_type(func, callee.value, local_types)
@@ -831,11 +832,9 @@ class CallGraph:
             root = dotted.split(".")[0]
             if root in bound or root == "self":
                 return None  # an untyped local / instance attribute
-            resolved = index.resolve_dotted_in(info, dotted)
+            resolved = index.canonical(info, callee)
             if resolved is not None:
                 return self._classify(resolved)
-            if root in info.global_names:
-                return None  # a module-level instance we cannot type
             # A fully external dotted call (``time.sleep``) — only when
             # the root is not bound locally at all.
             return ("external", dotted)
@@ -860,11 +859,10 @@ class CallGraph:
 
     def _resolve_function(self, func: FunctionInfo) -> None:
         local_types = self.local_types(func)
-        bound = local_bindings(func.node)
         for node in walk_own_body(func.node):
             if not isinstance(node, ast.Call):
                 continue
-            target = self.resolve_call(func, node, local_types, bound)
+            target = self.resolve_callee(func, node.func, local_types)
             if target is None:
                 continue
             kind, name = target

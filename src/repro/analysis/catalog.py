@@ -23,16 +23,15 @@ directions:
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.callgraph import ProjectIndex
 from repro.analysis.extract import (
     EmissionSite,
     SAMPLE_APP_ID,
     SAMPLE_CONTAINER_ID,
     StateMachineSpec,
     extract_emissions,
-    extract_state_machines,
 )
 from repro.analysis.findings import Finding, make_finding
 from repro.core import messages as msg
@@ -42,12 +41,12 @@ __all__ = [
     "AMBIGUITY_PROBES",
     "CLASSIFIERS",
     "ROUNDTRIP_PROBES",
+    "analyze",
     "check_ambiguity",
     "check_classifier_coverage",
     "check_id_roundtrip",
     "check_machine_catalog",
     "matching_classifiers",
-    "run",
 ]
 
 #: The full classifier battery of repro.core.messages, by name.
@@ -345,10 +344,10 @@ def check_id_roundtrip() -> List[Finding]:
     return findings
 
 
-def run(root: Path) -> List[Finding]:
-    """The full catalog cross-check over the tree rooted at ``root``."""
-    machines = extract_state_machines(root)
-    emissions = extract_emissions(root)
+def analyze(index: ProjectIndex) -> List[Finding]:
+    """The full catalog cross-check over the index's modules."""
+    machines = index.state_machines
+    emissions = extract_emissions(index)
     findings: List[Finding] = []
     findings.extend(check_machine_catalog(machines))
     findings.extend(check_classifier_coverage(machines, emissions))

@@ -20,39 +20,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-import repro
-from repro.analysis import (
-    asyncsafety,
-    catalog,
-    determinism,
-    procsafety,
-    statemachines,
-)
+from repro.analysis import PASSES, default_root, run_all
 from repro.analysis.baseline import (
     load_baseline,
     partition,
     render_baseline,
     write_baseline,
 )
-from repro.analysis.findings import Finding, sort_findings
 
 __all__ = ["PASSES", "build_arg_parser", "default_root", "main"]
-
-#: Pass name -> runner(root) used by ``--pass``.
-PASSES: Dict[str, Callable[[Path], List[Finding]]] = {
-    "catalog": catalog.run,
-    "statemachines": statemachines.run,
-    "determinism": determinism.run,
-    "asyncsafety": asyncsafety.run,
-    "procsafety": procsafety.run,
-}
-
-
-def default_root() -> Path:
-    """The directory containing the installed ``repro`` package."""
-    return Path(repro.__file__).resolve().parents[1]
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -106,9 +84,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"sdlint: {root} is not a directory", file=sys.stderr)
         return 2
     pass_names = args.passes or sorted(PASSES)
-    findings = sort_findings(
-        finding for name in pass_names for finding in PASSES[name](root)
-    )
+    findings = run_all(root, pass_names)
     baseline_path = (
         Path(args.baseline) if args.baseline else root.parent / "sdlint.baseline"
     )

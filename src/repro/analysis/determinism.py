@@ -28,24 +28,23 @@ promise byte-identical reports.  Four source patterns break them:
   property the fast-path chunk merge in ``repro.core.parser`` relies on
   for its byte-identity guarantee.
 
-Everything is a pure AST walk; nothing is imported or executed.
+Everything is a pure AST walk over the shared
+:class:`~repro.analysis.callgraph.ProjectIndex`; nothing is imported or
+executed.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import List
 
-from repro.analysis.extract import iter_source_files
+from repro.analysis.callgraph import ModuleInfo, ProjectIndex
 from repro.analysis.findings import Finding, make_finding
 
 __all__ = [
     "ALLOWED_PATHS",
     "ALLOWED_WALL_CLOCK_PATHS",
-    "run",
-    "scan_source",
-    "scan_tree",
+    "analyze",
 ]
 
 #: Files exempt from SD301: the sanctioned RNG wrapper itself.
@@ -101,67 +100,6 @@ _COMPLETION_ORDER_CALLS = frozenset(
 )
 
 
-class _ModuleNames:
-    """Resolves local names back to canonical module-dotted paths."""
-
-    def __init__(self, tree: ast.Module, path: str = ""):
-        # Imported lazily to keep the scan_source fast path import-light
-        # and to avoid a cycle at module load.
-        from repro.analysis.callgraph import (
-            module_name_of,
-            resolve_relative_import,
-        )
-
-        module = module_name_of(path) if path else ""
-        is_package = path.endswith("__init__.py")
-        #: local alias -> canonical module path ("np" -> "numpy").
-        self.modules: Dict[str, str] = {}
-        #: local name -> canonical dotted path ("now" -> "datetime.datetime.now").
-        self.names: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.modules[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name if alias.asname else alias.name.split(".")[0]
-                    )
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    # ``from .compat import now`` — resolvable once the
-                    # scan knows which module it is looking at.
-                    if not module:
-                        continue
-                    base = resolve_relative_import(
-                        module, is_package, node.level, node.module
-                    )
-                    if base is None:
-                        continue
-                elif node.module:
-                    base = node.module
-                else:
-                    continue
-                for alias in node.names:
-                    self.names[alias.asname or alias.name] = (
-                        f"{base}.{alias.name}"
-                    )
-
-    def canonical_call(self, func: ast.expr) -> Optional[str]:
-        """Dotted canonical path of a call target, if resolvable."""
-        parts: List[str] = []
-        node = func
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        parts.reverse()
-        root = node.id
-        if root in self.modules:
-            return ".".join([self.modules[root]] + parts)
-        if root in self.names:
-            return ".".join([self.names[root]] + parts)
-        return None
-
-
 def _is_set_expr(node: ast.expr) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
@@ -172,32 +110,28 @@ def _is_set_expr(node: ast.expr) -> bool:
     )
 
 
-def scan_source(
-    source: str,
-    path: str,
-    resolve: Optional[Callable[[str], str]] = None,
-) -> List[Finding]:
-    """All SD3xx findings in one module's source text.
+def analyze(index: ProjectIndex) -> List[Finding]:
+    """All SD3xx findings over every module of the index.
 
-    ``resolve`` (supplied by :func:`scan_tree`) canonicalizes a dotted
-    name across *chained project aliases* — ``from .compat import now``
-    where ``compat`` itself does ``from time import time as now``
-    resolves to ``time.time`` — so in-package re-exports cannot launder
-    banned calls.  Standalone scans fall back to single-hop resolution.
+    Call targets canonicalize through :meth:`ProjectIndex.canonical`,
+    so a function-local import is seen, and aliases chained across
+    modules (relative-import re-exports included) resolve back to the
+    stdlib names the ban lists speak.
     """
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        return []
-    names = _ModuleNames(tree, path)
     findings: List[Finding] = []
-    for node in ast.walk(tree):
+    for _path, info in sorted(index.modules_by_path.items()):
+        findings.extend(_scan_module(index, info))
+    return findings
+
+
+def _scan_module(index: ProjectIndex, info: ModuleInfo) -> List[Finding]:
+    path = info.path
+    findings: List[Finding] = []
+    for node in ast.walk(info.tree):
         if isinstance(node, ast.Call):
-            canonical = names.canonical_call(node.func)
+            canonical = index.canonical(info, node.func)
             if canonical is None:
                 continue
-            if resolve is not None:
-                canonical = resolve(canonical)
             if canonical in _FROM_TIMESTAMP_CALLS:
                 source_arg = node.args[0] if node.args else None
                 if source_arg is None or isinstance(source_arg, ast.Call):
@@ -273,33 +207,3 @@ def scan_source(
                         )
                     )
     return findings
-
-
-def scan_tree(root: Path) -> List[Finding]:
-    """SD3xx findings for every source file under ``root``.
-
-    Tree scans resolve dotted names through the whole-program
-    :class:`~repro.analysis.callgraph.ProjectIndex`, so aliases chained
-    across modules (relative-import re-exports included) canonicalize
-    back to the stdlib names the ban lists speak.
-    """
-    from repro.analysis.callgraph import ProjectIndex
-
-    root = Path(root)
-    sources: Dict[str, str] = {}
-    for path in iter_source_files(root):
-        try:
-            rel = path.resolve().relative_to(root.resolve()).as_posix()
-        except ValueError:
-            rel = path.as_posix()
-        sources[rel] = path.read_text()
-    index = ProjectIndex.from_sources(sources)
-    findings: List[Finding] = []
-    for rel in sorted(sources):
-        findings.extend(scan_source(sources[rel], rel, resolve=index.resolve_dotted))
-    return findings
-
-
-def run(root: Path) -> List[Finding]:
-    """The determinism pass entry point used by the CLI."""
-    return scan_tree(root)

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.callgraph import ProjectIndex
 
 __all__ = [
     "EmissionSite",
@@ -34,7 +36,6 @@ __all__ = [
     "SAMPLE_TASK_ATTEMPT_ID",
     "extract_emissions",
     "extract_state_machines",
-    "iter_source_files",
     "render_joined_str",
 ]
 
@@ -101,20 +102,6 @@ class EmissionSite:
     rendered: str
     #: Source text of the message expression (for report context).
     source: str
-
-
-def iter_source_files(root: Path) -> List[Path]:
-    """All ``*.py`` files under ``root/repro`` (or ``root`` itself)."""
-    root = Path(root)
-    base = root / "repro" if (root / "repro").is_dir() else root
-    return sorted(p for p in base.rglob("*.py") if p.is_file())
-
-
-def _rel(path: Path, root: Path) -> str:
-    try:
-        return path.resolve().relative_to(Path(root).resolve()).as_posix()
-    except ValueError:
-        return path.as_posix()
 
 
 def _sample_for(expr_source: str) -> Union[str, int]:
@@ -201,18 +188,16 @@ def _valid_transitions(raw: object) -> Optional[Dict[Tuple[str, str], str]]:
     return transitions
 
 
-def extract_state_machines(root: Path) -> List[StateMachineSpec]:
-    """Every class with a non-empty ``TRANSITIONS`` dict literal."""
-    root = Path(root)
+def extract_state_machines(index: "ProjectIndex") -> List[StateMachineSpec]:
+    """Every class with a non-empty ``TRANSITIONS`` dict literal.
+
+    :attr:`ProjectIndex.state_machines` keeps the result per index.
+    """
     specs: List[StateMachineSpec] = []
-    for path in iter_source_files(root):
-        try:
-            tree = ast.parse(path.read_text(), filename=str(path))
-        except SyntaxError:
-            continue
+    for path, info in sorted(index.modules_by_path.items()):
         classes: Dict[str, ast.ClassDef] = {
             node.name: node
-            for node in ast.walk(tree)
+            for node in ast.walk(info.tree)
             if isinstance(node, ast.ClassDef)
         }
         attrs = {name: _class_literal_attrs(node) for name, node in classes.items()}
@@ -240,7 +225,7 @@ def extract_state_machines(root: Path) -> List[StateMachineSpec]:
                     initial=str(resolve(name, "INITIAL") or ""),
                     template=str(resolve(name, "TEMPLATE") or ""),
                     transitions=transitions,
-                    path=_rel(path, root),
+                    path=path,
                     line=node.lineno,
                 )
             )
@@ -278,22 +263,17 @@ def _is_logger_call(call: ast.Call) -> bool:
     return False
 
 
-def extract_emissions(root: Path) -> List[EmissionSite]:
+def extract_emissions(index: "ProjectIndex") -> List[EmissionSite]:
     """Sample-rendered lines for every static ``logger.<level>`` call.
 
     Calls whose message cannot be rendered statically (``%``-template
     application, variables) are skipped — the state-machine extractor
     covers the former, and the latter carry no checkable wording.
     """
-    root = Path(root)
     sites: List[EmissionSite] = []
-    for path in iter_source_files(root):
-        try:
-            tree = ast.parse(path.read_text(), filename=str(path))
-        except SyntaxError:
-            continue
-        consts = _module_string_constants(tree)
-        for node in ast.walk(tree):
+    for path, info in sorted(index.modules_by_path.items()):
+        consts = _module_string_constants(info.tree)
+        for node in ast.walk(info.tree):
             if not isinstance(node, ast.Call) or not _is_logger_call(node):
                 continue
             if len(node.args) != 2:
@@ -315,7 +295,7 @@ def extract_emissions(root: Path) -> List[EmissionSite]:
                 continue
             sites.append(
                 EmissionSite(
-                    path=_rel(path, root),
+                    path=path,
                     line=node.lineno,
                     cls=cls,
                     rendered=rendered,

@@ -42,19 +42,18 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import (
     MUTATING_METHODS,
     CallGraph,
     FunctionInfo,
-    local_bindings,
+    ProjectIndex,
     walk_own_body,
 )
 from repro.analysis.findings import Finding, make_finding, sort_findings
 
-__all__ = ["EXECUTOR_TYPES", "analyze", "run", "scan_sources"]
+__all__ = ["EXECUTOR_TYPES", "analyze"]
 
 #: Canonical constructors that create *process* pools.  Thread pools
 #: share memory and need different (GIL-mediated) reasoning, so they
@@ -87,22 +86,6 @@ def _root_name(expr: ast.expr) -> Optional[str]:
     return None
 
 
-def _canonical_in(
-    graph: CallGraph, func: FunctionInfo, expr: ast.expr
-) -> Optional[str]:
-    parts: List[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    parts.reverse()
-    info = graph.index.modules[func.module]
-    return graph.index.resolve_dotted_in(info, ".".join(parts))
-
-
 def _is_random_source(qualname: Optional[str]) -> bool:
     return qualname is not None and qualname.split(".")[-1] == _RANDOM_SOURCE
 
@@ -112,6 +95,7 @@ def _is_random_source(qualname: Optional[str]) -> bool:
 def _executor_vars(graph: CallGraph, func: FunctionInfo) -> Set[str]:
     """Local names bound to a freshly-constructed process pool."""
     names: Set[str] = set()
+    info = graph.index.modules[func.module]
     for node in walk_own_body(func.node):
         target: Optional[str] = None
         value: Optional[ast.expr] = None
@@ -124,7 +108,7 @@ def _executor_vars(graph: CallGraph, func: FunctionInfo) -> Set[str]:
             target, value = node.optional_vars.id, node.context_expr
         if target is None or not isinstance(value, ast.Call):
             continue
-        if _canonical_in(graph, func, value.func) in EXECUTOR_TYPES:
+        if graph.index.canonical(info, value.func) in EXECUTOR_TYPES:
             names.add(target)
     return names
 
@@ -134,7 +118,6 @@ def _sites_in(graph: CallGraph, func: FunctionInfo) -> List[_Site]:
     if not pools:
         return []
     local_types = graph.local_types(func)
-    bound = local_bindings(func.node)
     sites: List[_Site] = []
     nested = {
         node.name: f"{func.qualname}.<locals>.{node.name}"
@@ -153,7 +136,7 @@ def _sites_in(graph: CallGraph, func: FunctionInfo) -> List[_Site]:
             and nested[expr.id] in graph.index.functions
         ):
             return nested[expr.id], False
-        resolved = graph._resolve_callee(func, expr, local_types, bound)
+        resolved = graph.resolve_callee(func, expr, local_types)
         if resolved is not None and resolved[0] == "project":
             return resolved[1], False
         return None, False
@@ -173,7 +156,7 @@ def _sites_in(graph: CallGraph, func: FunctionInfo) -> List[_Site]:
             fn_expr, payload = node.args[0], list(node.args[1:])
         else:
             # Wrapper form: helper(pool, fn, ...) with a project helper.
-            resolved = graph.resolve_call(func, node, local_types, bound)
+            resolved = graph.resolve_callee(func, node.func, local_types)
             if (
                 resolved is not None
                 and resolved[0] == "project"
@@ -198,7 +181,7 @@ def _global_mutations(
 ) -> List[Tuple[str, int]]:
     """``(global name, lineno)`` pairs this function's body mutates."""
     info = graph.index.modules[func.module]
-    bound = local_bindings(func.node)
+    bound = func.bound
     declared_global: Set[str] = set()
     for node in walk_own_body(func.node):
         if isinstance(node, ast.Global):
@@ -273,8 +256,9 @@ def _child_derived(func: FunctionInfo) -> Set[str]:
 
 # -- the pass --------------------------------------------------------------
 
-def analyze(graph: CallGraph) -> List[Finding]:
-    """All SD5xx findings over an already-built call graph."""
+def analyze(index: ProjectIndex) -> List[Finding]:
+    """All SD5xx findings over the index's call graph."""
+    graph = index.call_graph
     findings: List[Finding] = []
     seen: Set[str] = set()
 
@@ -284,8 +268,8 @@ def analyze(graph: CallGraph) -> List[Finding]:
             findings.append(finding)
 
     sites: List[_Site] = []
-    for qualname in sorted(graph.index.functions):
-        sites.extend(_sites_in(graph, graph.index.functions[qualname]))
+    for qualname in sorted(index.functions):
+        sites.extend(_sites_in(graph, index.functions[qualname]))
 
     for site in sites:
         submitter = site.submitter
@@ -302,7 +286,7 @@ def analyze(graph: CallGraph) -> List[Finding]:
             )
             continue
         assert site.target is not None
-        target = graph.index.functions[site.target]
+        target = index.functions[site.target]
         if "<locals>" in site.target:
             emit(
                 make_finding(
@@ -320,7 +304,7 @@ def analyze(graph: CallGraph) -> List[Finding]:
 
         # SD501: transitive module-global mutation.
         for qualname in sorted(reach):
-            func = graph.index.functions.get(qualname)
+            func = index.functions.get(qualname)
             if func is None:
                 continue
             for name, lineno in _global_mutations(graph, func):
@@ -338,12 +322,12 @@ def analyze(graph: CallGraph) -> List[Finding]:
                 )
 
         # SD502: return-annotation classes crossing worker -> parent.
-        owner = graph.index.modules.get(target.module)
+        owner = index.modules.get(target.module)
         if owner is not None:
-            for cls_qual in graph.index.annotation_classes(
+            for cls_qual in index.annotation_classes(
                 owner, target.node.returns
             ):
-                mro = graph.index.mro(cls_qual)
+                mro = index.mro(cls_qual)
                 if not mro:
                     continue
                 has_slots = any(c.defines_slots for c in mro)
@@ -367,19 +351,18 @@ def analyze(graph: CallGraph) -> List[Finding]:
 
         # SD503a: module-level RandomSource singletons read worker-side.
         for qualname in sorted(reach):
-            func = graph.index.functions.get(qualname)
+            func = index.functions.get(qualname)
             if func is None:
                 continue
             shared = _module_random_globals(graph, func.module)
             if not shared:
                 continue
-            bound = local_bindings(func.node)
             for node in walk_own_body(func.node):
                 if (
                     isinstance(node, ast.Name)
                     and isinstance(node.ctx, ast.Load)
                     and node.id in shared
-                    and node.id not in bound
+                    and node.id not in func.bound
                 ):
                     emit(
                         make_finding(
@@ -418,13 +401,3 @@ def analyze(graph: CallGraph) -> List[Finding]:
                 )
 
     return sort_findings(findings)
-
-
-def scan_sources(sources: Dict[str, str]) -> List[Finding]:
-    """SD5xx findings for an in-memory ``{path: source}`` tree (tests)."""
-    return analyze(CallGraph.from_sources(sources))
-
-
-def run(root: Path) -> List[Finding]:
-    """The process-boundary pass entry point used by the CLI."""
-    return analyze(CallGraph.build(root))

@@ -21,15 +21,15 @@ decomposition silently relies on:
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.extract import StateMachineSpec, extract_state_machines
+from repro.analysis.callgraph import ProjectIndex
+from repro.analysis.extract import StateMachineSpec
 from repro.analysis.findings import Finding, make_finding
 from repro.core import messages as msg
 from repro.core.events import EventKind
 
-__all__ = ["analyze_machine", "reachable_states", "run"]
+__all__ = ["analyze", "analyze_machine", "reachable_states"]
 
 
 def reachable_states(
@@ -126,9 +126,9 @@ def analyze_machine(
     return findings
 
 
-def run(root: Path) -> List[Finding]:
-    """SD2xx analysis of every state machine under ``root``."""
+def analyze(index: ProjectIndex) -> List[Finding]:
+    """SD2xx analysis of every state machine in the index."""
     findings: List[Finding] = []
-    for machine in extract_state_machines(root):
+    for machine in index.state_machines:
         findings.extend(analyze_machine(machine))
     return findings

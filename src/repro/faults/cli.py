@@ -3,14 +3,12 @@
 ``corrupt`` writes a corrupted copy of a log directory (for by-hand
 inspection or as a test fixture); ``sweep`` runs the certification
 sweep over the whole catalog and exits non-zero on any contract
-violation.  ``REPRO_BENCH_SMOKE=1`` shrinks the default sweep to a
-CI-smoke size.
+violation.  ``--seeds N`` sizes the sweep (``make fuzz-smoke`` runs 5).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -20,9 +18,8 @@ from repro.faults.inject import corrupt_copy, sweep
 
 __all__ = ["main", "build_arg_parser"]
 
-#: Seeds per corruption in a full sweep vs. the CI smoke run.
+#: Seeds per corruption in a full sweep.
 FULL_SEEDS = 25
-SMOKE_SEEDS = 5
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -59,12 +56,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--seeds",
         type=int,
-        default=None,
+        default=FULL_SEEDS,
         metavar="N",
-        help=(
-            f"seeds per corruption (default {FULL_SEEDS}, "
-            f"or {SMOKE_SEEDS} when REPRO_BENCH_SMOKE is set)"
-        ),
+        help=f"seeds per corruption (default {FULL_SEEDS})",
     )
     sweep_parser.add_argument(
         "--jobs",
@@ -91,11 +85,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"{receipt.corruption}: no-op at this seed")
         return 0
 
-    n_seeds = args.seeds
-    if n_seeds is None:
-        n_seeds = SMOKE_SEEDS if os.environ.get("REPRO_BENCH_SMOKE") else FULL_SEEDS
     results = sweep(
-        logdir, seeds=range(n_seeds), names=args.corruption, jobs=args.jobs
+        logdir, seeds=range(args.seeds), names=args.corruption, jobs=args.jobs
     )
     failures = 0
     for result in results:

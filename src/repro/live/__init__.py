@@ -31,26 +31,31 @@ batch over the union of all shards' directories, for any shard
 assignment.
 """
 
-from repro.live.client import LiveClient, QueryError
-from repro.live.incremental import LiveMiner, LiveSession
-from repro.live.metrics import (
-    MetricsRegistry,
-    build_live_registry,
-    merge_metric_states,
-)
-from repro.live.router import (
-    RouterServer,
-    merge_state_payloads,
-    report_from_state_payload,
-)
-from repro.live.server import (
-    JsonLineServer,
-    LiveServer,
-    ServerHandle,
-    serve_in_thread,
-)
-from repro.live.sharded import ShardedLiveService, partition_directories
-from repro.live.tailer import DirectoryTailer, StreamTailer, TailChunk
+import importlib
+
+#: Where each export lives.  They resolve on first access (PEP 562), so
+#: ``python -m repro.live query`` loads the client and nothing else.
+_EXPORTS = {
+    "DirectoryTailer": "repro.live.tailer",
+    "JsonLineServer": "repro.live.server",
+    "LiveClient": "repro.live.client",
+    "LiveMiner": "repro.live.incremental",
+    "LiveServer": "repro.live.server",
+    "LiveSession": "repro.live.incremental",
+    "MetricsRegistry": "repro.live.metrics",
+    "QueryError": "repro.live.client",
+    "RouterServer": "repro.live.router",
+    "ServerHandle": "repro.live.server",
+    "ShardedLiveService": "repro.live.sharded",
+    "StreamTailer": "repro.live.tailer",
+    "TailChunk": "repro.live.tailer",
+    "build_live_registry": "repro.live.metrics",
+    "merge_metric_states": "repro.live.metrics",
+    "merge_state_payloads": "repro.live.router",
+    "partition_directories": "repro.live.sharded",
+    "report_from_state_payload": "repro.live.router",
+    "serve_in_thread": "repro.live.server",
+}
 
 __all__ = [
     "DirectoryTailer",
@@ -73,3 +78,16 @@ __all__ = [
     "report_from_state_payload",
     "serve_in_thread",
 ]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

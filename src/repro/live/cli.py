@@ -18,11 +18,12 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.live.client import LiveClient, QueryError
-from repro.live.incremental import LiveSession
-from repro.live.server import OPS, LiveServer, run_in_thread
+from repro.live.client import OPS, LiveClient, QueryError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.live.incremental import LiveSession
 
 __all__ = ["main", "build_arg_parser"]
 
@@ -151,7 +152,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_session(args: argparse.Namespace) -> LiveSession:
+def _build_session(args: argparse.Namespace) -> "LiveSession":
+    # Imported here, as the server is in ``serve``: ``query`` needs
+    # neither, and they pull in the miner, repro.core and numpy.
+    from repro.live.incremental import LiveSession
+
     evict = getattr(args, "evict_after_polls", None)
     every = getattr(args, "checkpoint_every_polls", 1)
     if every < 1:
@@ -213,6 +218,8 @@ def _run_serve(args: argparse.Namespace) -> int:
         return 2
     if args.shards > 1 or args.metrics_http_port is not None:
         return _run_serve_sharded(args)
+    from repro.live.server import LiveServer, run_in_thread
+
     session = _build_session(args)
     handle = run_in_thread(
         lambda: LiveServer(

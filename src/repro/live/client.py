@@ -12,7 +12,20 @@ import json
 import socket
 from typing import List, Optional
 
-__all__ = ["LiveClient", "QueryError"]
+__all__ = ["OPS", "LiveClient", "QueryError"]
+
+#: Every op the protocol answers, in the order the unknown-op error
+#: lists them.
+OPS = (
+    "apps",
+    "decomposition",
+    "diagnostics",
+    "metrics",
+    "metrics_state",
+    "state",
+    "drain",
+    "shutdown",
+)
 
 
 class QueryError(RuntimeError):

@@ -148,28 +148,16 @@ class LiveMiner:
 
     def feed(
         self, daemon: str, data: bytes, segments: int = 1
-    ) -> Tuple[List[tuple], Tuple[int, ...], Set[str]]:
+    ) -> Tuple[List[tuple], Tuple[int, ...]]:
         """Mine one tailed chunk into the stream's accumulator.
 
-        Returns ``(accepted event tuples, scan counters, touched app
-        IDs)`` — the session uses them for metrics and cache
-        invalidation; correctness lives entirely in the accumulator.
+        Returns ``(accepted event tuples, scan counters)``: the session
+        counts them into its metrics and picks finished apps out of the
+        accepted events.  Correctness lives entirely in the accumulator.
         """
         acc = self.ensure_stream(daemon, segments)
-        had_first = acc.first_key is not None
         scan = _scan_chunk(daemon, acc.gate, data, self._ts_memo, self._head_memo)
-        accepted = acc.absorb(scan)
-        touched: Set[str] = set()
-        for event in accepted:
-            if event[2] is not None:
-                touched.add(event[2])
-        if not had_first and acc.first_key is not None and acc.gate == "container":
-            # The stream's positional INSTANCE_FIRST_LOG just came into
-            # existence: the owning app gained an event too.
-            app_id = msg.app_id_of_container(daemon)
-            if app_id is not None:
-                touched.add(app_id)
-        return accepted, scan[1], touched
+        return acc.absorb(scan), scan[1]
 
     def evict_app(self, app_id: str) -> List[str]:
         """Forget one application's mined state.
@@ -395,7 +383,7 @@ class LiveSession:
                 self.miner.ensure_stream(chunk.daemon, chunk.segments)
                 continue
             changed = True
-            accepted, counters, _touched = self.miner.feed(
+            accepted, counters = self.miner.feed(
                 chunk.daemon, chunk.data, chunk.segments
             )
             new_events += len(accepted)

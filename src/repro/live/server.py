@@ -52,6 +52,7 @@ import logging
 import threading
 from typing import Any, Callable, Dict, Optional
 
+from repro.live.client import OPS
 from repro.live.incremental import LiveSession
 from repro.live.metrics import MetricsRegistry
 
@@ -64,19 +65,6 @@ __all__ = [
     "run_in_thread",
     "serve_in_thread",
 ]
-
-#: Every op the protocol answers, in the order the unknown-op error
-#: lists them.
-OPS = (
-    "apps",
-    "decomposition",
-    "diagnostics",
-    "metrics",
-    "metrics_state",
-    "state",
-    "drain",
-    "shutdown",
-)
 
 #: Responses a connection may have in flight before it is considered a
 #: slow consumer and disconnected.

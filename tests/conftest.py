@@ -8,6 +8,8 @@ tests all analyze.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.checker import SDChecker
@@ -40,6 +42,18 @@ def _repro_sanitizer():
     assert not violations, "sanitizer violations:\n" + "\n".join(
         f.render() for f in violations
     )
+
+
+@pytest.fixture(scope="session")
+def src_index():
+    """One sdlint index of this checkout's ``src`` tree, as a run builds it.
+
+    Shared by the analysis tests that check the real tree; nothing
+    mutates it after its call graph is built.
+    """
+    from repro.analysis.callgraph import ProjectIndex
+
+    return ProjectIndex.build(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture

@@ -1,19 +1,20 @@
 """Tests for sdlint pass 4: the async-safety lint (SD401-SD403)."""
 
-from pathlib import Path
-
 from repro.analysis import asyncsafety
+from repro.analysis.callgraph import ProjectIndex
 
-SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
+
+def scan(sources):
+    return asyncsafety.analyze(ProjectIndex.from_sources(sources))
 
 
 def rules_of(sources):
-    return [f.rule for f in asyncsafety.scan_sources(sources)]
+    return [f.rule for f in scan(sources)]
 
 
 class TestSD401Blocking:
     def test_direct_blocking_call_fires_once(self):
-        findings = asyncsafety.scan_sources(
+        findings = scan(
             {"repro/srv.py": "import time\nasync def h():\n    time.sleep(1)\n"}
         )
         assert [f.rule for f in findings] == ["SD401"]
@@ -35,7 +36,7 @@ class TestSD401Blocking:
         )
 
     def test_blocking_reachable_through_a_sync_chain(self):
-        findings = asyncsafety.scan_sources(
+        findings = scan(
             {
                 "repro/a.py": (
                     "from repro.b import work\n"
@@ -55,7 +56,7 @@ class TestSD401Blocking:
         assert findings[0].path == "repro/a.py"
 
     def test_two_paths_to_the_same_blocking_call_dedupe(self):
-        findings = asyncsafety.scan_sources(
+        findings = scan(
             {
                 "repro/a.py": (
                     "from repro.b import left, right\n"
@@ -72,6 +73,63 @@ class TestSD401Blocking:
             }
         )
         assert [f.rule for f in findings] == ["SD401"]
+
+    def test_blocking_reachable_through_a_function_local_import(self):
+        findings = scan(
+            {
+                "repro/pkg/__init__.py": "",
+                "repro/pkg/io_helpers.py": (
+                    "def slurp(path):\n"
+                    "    with open(path) as fh:\n"
+                    "        return fh.read()\n"
+                ),
+                "repro/pkg/server.py": (
+                    "async def handler(path):\n"
+                    "    from repro.pkg.io_helpers import slurp\n"
+                    "    return slurp(path)\n"
+                ),
+            }
+        )
+        assert [f.rule for f in findings] == ["SD401"]
+        assert "open() is reachable from async def handler via slurp" in (
+            findings[0].message
+        )
+
+    def test_raw_os_read_reachable_through_a_helper(self):
+        findings = scan(
+            {
+                "repro/a.py": (
+                    "from repro.b import read_at\n"
+                    "async def h(fd):\n"
+                    "    return read_at(fd, 0)\n"
+                ),
+                "repro/b.py": (
+                    "import os\n"
+                    "def read_at(fd, offset):\n"
+                    "    return os.pread(fd, 4096, offset)\n"
+                ),
+            }
+        )
+        assert [f.rule for f in findings] == ["SD401"]
+        assert "os.pread() is reachable from async def h via read_at" in (
+            findings[0].message
+        )
+
+    def test_raw_os_open_and_read_block(self):
+        findings = scan(
+            {
+                "repro/srv.py": (
+                    "import os\n"
+                    "async def h(path):\n"
+                    "    fd = os.open(path, os.O_RDONLY)\n"
+                    "    return os.read(fd, 64)\n"
+                )
+            }
+        )
+        assert sorted(f.message.split()[2] for f in findings) == [
+            "os.open()",
+            "os.read()",
+        ]
 
     def test_sync_functions_are_not_flagged(self):
         assert (
@@ -93,7 +151,7 @@ class TestSD402Unawaited:
     }
 
     def test_bare_coroutine_call_and_dropped_task_handle(self):
-        findings = asyncsafety.scan_sources(self.SOURCES)
+        findings = scan(self.SOURCES)
         assert [f.rule for f in findings] == ["SD402", "SD402"]
         messages = " ".join(f.message for f in findings)
         assert "never awaited" in messages
@@ -120,7 +178,7 @@ class TestSD402Unawaited:
 
 class TestSD403Queues:
     def test_unbounded_queue_construction(self):
-        findings = asyncsafety.scan_sources(
+        findings = scan(
             {
                 "repro/q.py": (
                     "import asyncio\n"
@@ -162,7 +220,7 @@ class TestSD403Queues:
         )
 
     def test_join_without_timeout(self):
-        findings = asyncsafety.scan_sources(
+        findings = scan(
             {
                 "repro/q.py": (
                     "import asyncio\n"
@@ -190,18 +248,21 @@ class TestSD403Queues:
 
 
 class TestRealTree:
-    def test_only_the_baselined_serving_deviations_remain(self):
-        # Two accepted deviations, both in the live server and both
-        # baselined: the poll loop's tailing I/O, and the drain op's
-        # end-of-life flush — single-threaded serving by design.
-        findings = asyncsafety.run(SRC_ROOT)
-        assert [f.rule for f in findings] == ["SD401", "SD401"]
+    def test_only_the_baselined_serving_deviations_remain(self, src_index):
+        # Six accepted deviations, all in the live server and all
+        # baselined: the poll loop's tailing I/O and the drain op's
+        # end-of-life flush each reach _read_to_eof's open() and
+        # _advance_live's os.open()/os.pread() — single-threaded
+        # serving by design.
+        findings = asyncsafety.analyze(src_index)
+        assert [f.rule for f in findings] == ["SD401"] * 6
         assert {f.path for f in findings} == {"repro/live/server.py"}
-        messages = "\n".join(f.message for f in findings)
-        assert "_poll_loop" in messages
-        assert "_dispatch" in messages
+        for root in ("LiveServer._poll_loop", "LiveServer._dispatch"):
+            for call in ("open", "os.open", "os.pread"):
+                needle = f"blocking call {call}() is reachable from async def {root} "
+                assert sum(needle in f.message for f in findings) == 1
 
-    def test_live_and_faults_have_no_other_async_findings(self):
-        paths = {f.path for f in asyncsafety.run(SRC_ROOT) if f.rule != "SD401"}
+    def test_live_and_faults_have_no_other_async_findings(self, src_index):
+        paths = {f.path for f in asyncsafety.analyze(src_index) if f.rule != "SD401"}
         assert not any(p.startswith("repro/live/") for p in paths)
         assert not any(p.startswith("repro/faults/") for p in paths)

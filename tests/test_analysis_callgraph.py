@@ -1,15 +1,14 @@
 """Tests for the whole-program resolver behind the SD4xx/SD5xx passes."""
 
-from pathlib import Path
-
 from repro.analysis.callgraph import (
-    CallGraph,
     ProjectIndex,
     module_name_of,
     resolve_relative_import,
 )
 
-SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
+
+def graph_of(sources):
+    return ProjectIndex.from_sources(sources).call_graph
 
 
 class TestModuleNaming:
@@ -97,12 +96,12 @@ class TestCallEdges:
     }
 
     def test_annotated_attribute_method_resolution(self):
-        graph = CallGraph.from_sources(self.SOURCES)
+        graph = graph_of(self.SOURCES)
         loop = graph.index.functions["repro.app.Server.loop"]
         assert [c for c, _ in loop.calls] == ["repro.lib.Session.poll"]
 
     def test_reachability_and_chain(self):
-        graph = CallGraph.from_sources(self.SOURCES)
+        graph = graph_of(self.SOURCES)
         parents = graph.reachable("repro.app.Server.loop")
         assert "repro.lib.fetch" in parents
         assert graph.chain(parents, "repro.lib.fetch") == [
@@ -112,12 +111,12 @@ class TestCallEdges:
         ]
 
     def test_external_calls_are_recorded(self):
-        graph = CallGraph.from_sources(self.SOURCES)
+        graph = graph_of(self.SOURCES)
         fetch = graph.index.functions["repro.lib.fetch"]
         assert "open" in [name for name, _ in fetch.external_calls]
 
     def test_locals_do_not_masquerade_as_externals(self):
-        graph = CallGraph.from_sources(
+        graph = graph_of(
             {"repro/x.py": "def f(cb):\n    cb()\n    data = []\n    data.append(1)\n"}
         )
         f = graph.index.functions["repro.x.f"]
@@ -125,7 +124,7 @@ class TestCallEdges:
         assert f.calls == []
 
     def test_reachability_stops_at_async_callees(self):
-        graph = CallGraph.from_sources(
+        graph = graph_of(
             {
                 "repro/y.py": (
                     "async def inner():\n"
@@ -140,7 +139,7 @@ class TestCallEdges:
         assert "repro.y.inner" in graph.reachable("repro.y.outer", through_async=True)
 
     def test_nested_defs_are_separate_roots(self):
-        graph = CallGraph.from_sources(
+        graph = graph_of(
             {
                 "repro/z.py": (
                     "def runner():\n"
@@ -157,8 +156,8 @@ class TestCallEdges:
 
 
 class TestRealTree:
-    def test_builds_and_resolves_the_live_poll_chain(self):
-        graph = CallGraph.build(SRC_ROOT)
+    def test_builds_and_resolves_the_live_poll_chain(self, src_index):
+        graph = src_index.call_graph
         loop = graph.index.functions["repro.live.server.LiveServer._poll_loop"]
         assert loop.is_async
         parents = graph.reachable(loop.qualname)

@@ -1,10 +1,9 @@
 """Tests for sdlint pass 1: the catalog cross-check (SD101-SD104)."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.analysis import catalog
+from repro.analysis.callgraph import ProjectIndex
 from repro.analysis.extract import (
     SAMPLE_APP_ID,
     SAMPLE_CONTAINER_ID,
@@ -15,17 +14,15 @@ from repro.analysis.extract import (
 from repro.core import messages as msg
 from repro.core.events import EventKind
 
-SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
+
+@pytest.fixture(scope="module")
+def machines(src_index):
+    return extract_state_machines(src_index)
 
 
 @pytest.fixture(scope="module")
-def machines():
-    return extract_state_machines(SRC_ROOT)
-
-
-@pytest.fixture(scope="module")
-def emissions():
-    return extract_emissions(SRC_ROOT)
+def emissions(src_index):
+    return extract_emissions(src_index)
 
 
 class TestExtraction:
@@ -80,8 +77,8 @@ class TestExtraction:
 
 
 class TestPristineTree:
-    def test_no_catalog_findings_on_pristine_tree(self):
-        assert catalog.run(SRC_ROOT) == []
+    def test_no_catalog_findings_on_pristine_tree(self, src_index):
+        assert catalog.analyze(src_index) == []
 
     def test_roundtrip_probes_pass(self):
         assert catalog.check_id_roundtrip() == []
@@ -98,7 +95,7 @@ class DriftedRMApp:
 
     def test_template_drift_fires_sd101(self, tmp_path):
         (tmp_path / "drifted.py").write_text(self.BAD_MACHINE)
-        machines = extract_state_machines(tmp_path)
+        machines = extract_state_machines(ProjectIndex.build(tmp_path))
         assert len(machines) == 1
         findings = catalog.check_machine_catalog(machines)
         assert [f.rule for f in findings] == ["SD101"]
@@ -108,7 +105,7 @@ class DriftedRMApp:
     def test_unrenderable_template_fires_sd101(self, tmp_path):
         source = self.BAD_MACHINE.replace("%(entity)s", "%(entty)s")
         (tmp_path / "drifted.py").write_text(source)
-        findings = catalog.check_machine_catalog(extract_state_machines(tmp_path))
+        findings = catalog.check_machine_catalog(extract_state_machines(ProjectIndex.build(tmp_path)))
         assert findings and findings[0].rule == "SD101"
         assert "does not render" in findings[0].message
 

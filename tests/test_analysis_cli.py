@@ -1,5 +1,7 @@
 """End-to-end tests for ``python -m repro.analysis`` (the sdlint CLI)."""
 
+import ast
+import collections
 import json
 import shutil
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.baseline import load_baseline, partition, write_baseline
-from repro.analysis.cli import main
+from repro.analysis.cli import default_root, main
 from repro.analysis.findings import Finding, make_finding
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -41,9 +43,10 @@ class TestPristine:
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert payload["findings"] == []
-        # 7 accepted findings: the KILLING SD204 entry retired when the
-        # Table I′ taxonomy extension made that state SDchecker-visible.
-        assert payload["suppressed"] == 7
+        # 12 accepted findings: 5 SD204 (the KILLING entry retired when
+        # the Table I′ taxonomy extension made that state
+        # SDchecker-visible), 6 SD401 and 1 SD501.
+        assert payload["suppressed"] == 12
         assert payload["unused_baseline"] == []
         assert sorted(payload["passes"]) == [
             "asyncsafety",
@@ -52,6 +55,29 @@ class TestPristine:
             "procsafety",
             "statemachines",
         ]
+
+
+class TestOneIndex:
+    def test_each_file_is_parsed_once_per_run(self, monkeypatch, capsys):
+        root = default_root()
+        parsed = collections.Counter()
+        real_parse = ast.parse
+
+        def spy(source, filename="<unknown>", *args, **kwargs):
+            name = Path(str(filename))
+            if name.is_absolute() and root in name.parents:
+                name = name.relative_to(root)
+            parsed[name.as_posix()] += 1
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", spy)
+        main([])
+        capsys.readouterr()
+        files = sorted(
+            p.relative_to(root).as_posix() for p in (root / "repro").rglob("*.py")
+        )
+        assert files
+        assert {f: parsed[f] for f in files} == {f: 1 for f in files}
 
 
 class TestSeededViolations:

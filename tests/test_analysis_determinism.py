@@ -3,12 +3,17 @@
 from pathlib import Path
 
 from repro.analysis import determinism
+from repro.analysis.callgraph import ProjectIndex
 
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
 
 
+def scan(sources):
+    return determinism.analyze(ProjectIndex.from_sources(sources))
+
+
 def rules_of(source: str, path: str = "repro/fake.py"):
-    return [f.rule for f in determinism.scan_source(source, path)]
+    return [f.rule for f in scan({path: source})]
 
 
 class TestUnseededRandom:
@@ -43,6 +48,10 @@ class TestWallClock:
 
     def test_datetime_module_form(self):
         source = "import datetime\nt = datetime.datetime.utcnow()\n"
+        assert rules_of(source) == ["SD302"]
+
+    def test_function_local_import(self):
+        source = "def f():\n    import time\n    return time.time()\n"
         assert rules_of(source) == ["SD302"]
 
 
@@ -169,7 +178,7 @@ class TestRelativeImports:
             "from .compat import roll\n\n\ndef jitter():\n    return roll()\n",
             "from random import random as roll\n",
         )
-        findings = determinism.scan_tree(root)
+        findings = determinism.analyze(ProjectIndex.build(root))
         assert [(f.rule, f.path) for f in findings] == [
             ("SD301", "repro/pkg/mod.py")
         ]
@@ -180,7 +189,7 @@ class TestRelativeImports:
             "from .compat import now\n\n\ndef stamp():\n    return now()\n",
             "from time import time as now\n",
         )
-        findings = determinism.scan_tree(root)
+        findings = determinism.analyze(ProjectIndex.build(root))
         assert [(f.rule, f.path) for f in findings] == [
             ("SD302", "repro/pkg/mod.py")
         ]
@@ -192,7 +201,7 @@ class TestRelativeImports:
             "def order():\n    return [x for x in set(ITEMS)]\n",
             "ITEMS = (1, 2, 3)\n",
         )
-        findings = determinism.scan_tree(root)
+        findings = determinism.analyze(ProjectIndex.build(root))
         assert [(f.rule, f.path) for f in findings] == [
             ("SD303", "repro/pkg/mod.py")
         ]
@@ -202,7 +211,7 @@ class TestRelativeImports:
         # alias chain inside the *same* package still needs the tree
         # scan; but a direct relative import no longer hides the name.
         source = "from . import compat\n"
-        assert determinism.scan_source(source, "repro/pkg/mod.py") == []
+        assert scan({"repro/pkg/mod.py": source}) == []
 
     def test_clean_relative_imports_stay_clean(self, tmp_path):
         root = self._tree(
@@ -210,29 +219,29 @@ class TestRelativeImports:
             "from .compat import helper\n\n\ndef f():\n    return helper()\n",
             "def helper():\n    return 42\n",
         )
-        assert determinism.scan_tree(root) == []
+        assert determinism.analyze(ProjectIndex.build(root)) == []
 
 
 class TestPristineTree:
-    def test_simulator_source_is_deterministic(self):
-        assert determinism.run(SRC_ROOT) == []
+    def test_simulator_source_is_deterministic(self, src_index):
+        assert determinism.analyze(src_index) == []
 
-    def test_live_tree_is_scanned_and_clean(self):
+    def test_live_tree_is_scanned_and_clean(self, src_index):
         # The incremental miner/server promise replay byte-identity, so
         # the determinism lint must both reach them and find nothing.
         live_root = SRC_ROOT / "repro" / "live"
-        scanned = {f.path for f in determinism.run(SRC_ROOT)}
-        assert determinism.scan_tree(live_root) == []
+        scanned = {f.path for f in determinism.analyze(src_index)}
+        assert determinism.analyze(ProjectIndex.build(live_root)) == []
         assert not any(p.startswith("repro/live/") for p in scanned)
 
-    def test_calibrate_tree_is_scanned_and_clean(self):
+    def test_calibrate_tree_is_scanned_and_clean(self, src_index):
         # The fit driver promises byte-identical artifacts at any
         # --jobs, so wall-clock reads or unseeded randomness anywhere
         # in repro.calibrate would be a contract violation.
         calibrate_root = SRC_ROOT / "repro" / "calibrate"
-        scanned = {f.path for f in determinism.run(SRC_ROOT)}
-        assert determinism.scan_tree(calibrate_root) == []
+        scanned = {f.path for f in determinism.analyze(src_index)}
+        assert determinism.analyze(ProjectIndex.build(calibrate_root)) == []
         assert not any(p.startswith("repro/calibrate/") for p in scanned)
 
     def test_syntax_errors_are_skipped(self):
-        assert determinism.scan_source("def broken(:\n", "x.py") == []
+        assert scan({"x.py": "def broken(:\n"}) == []

@@ -1,11 +1,7 @@
 """Tests for sdlint pass 5: the process-boundary lint (SD501-SD503)."""
 
-from pathlib import Path
-
 from repro.analysis import procsafety
-from repro.analysis.callgraph import CallGraph
-
-SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
+from repro.analysis.callgraph import ProjectIndex
 
 _POOL_IMPORT = "from concurrent.futures import ProcessPoolExecutor\n"
 
@@ -19,13 +15,17 @@ _RNG_STUB = (
 )
 
 
+def scan(sources):
+    return procsafety.analyze(ProjectIndex.from_sources(sources))
+
+
 def rules_of(sources):
-    return [f.rule for f in procsafety.scan_sources(sources)]
+    return [f.rule for f in scan(sources)]
 
 
 class TestSD501GlobalMutation:
     def test_worker_mutating_a_module_global_fires_once(self):
-        findings = procsafety.scan_sources(
+        findings = scan(
             {
                 "repro/w.py": _POOL_IMPORT
                 + (
@@ -43,7 +43,7 @@ class TestSD501GlobalMutation:
         assert "_CACHE" in findings[0].message
 
     def test_mutation_two_calls_down_is_still_found(self):
-        findings = procsafety.scan_sources(
+        findings = scan(
             {
                 "repro/w.py": _POOL_IMPORT
                 + (
@@ -84,7 +84,7 @@ class TestSD501GlobalMutation:
         )
 
     def test_lambda_submission(self):
-        findings = procsafety.scan_sources(
+        findings = scan(
             {
                 "repro/w.py": _POOL_IMPORT
                 + (
@@ -98,7 +98,7 @@ class TestSD501GlobalMutation:
         assert "lambda" in findings[0].message
 
     def test_nested_function_submission(self):
-        findings = procsafety.scan_sources(
+        findings = scan(
             {
                 "repro/w.py": _POOL_IMPORT
                 + (
@@ -115,7 +115,7 @@ class TestSD501GlobalMutation:
 
     def test_wrapper_form_submission_is_recognized(self):
         # Mirrors repro.core.parser._pool_map: helper(pool, fn, tasks).
-        findings = procsafety.scan_sources(
+        findings = scan(
             {
                 "repro/w.py": _POOL_IMPORT
                 + (
@@ -171,7 +171,7 @@ class TestSD502SlotsContract:
     )
 
     def test_bare_slots_return_type_fires_once(self):
-        findings = procsafety.scan_sources(
+        findings = scan(
             {"repro/s.py": _POOL_IMPORT + self.BARE + self.TAIL}
         )
         assert [f.rule for f in findings] == ["SD502"]
@@ -225,7 +225,7 @@ class TestSD502SlotsContract:
 
 class TestSD503SharedRandomSource:
     def test_module_singleton_read_by_worker(self):
-        findings = procsafety.scan_sources(
+        findings = scan(
             {
                 "repro/simul/distributions.py": _RNG_STUB,
                 "repro/r.py": _POOL_IMPORT
@@ -266,7 +266,7 @@ class TestSD503SharedRandomSource:
         )
 
     def test_random_source_argument_without_child_split(self):
-        findings = procsafety.scan_sources(
+        findings = scan(
             {
                 "repro/simul/distributions.py": _RNG_STUB,
                 "repro/r.py": _POOL_IMPORT
@@ -305,14 +305,25 @@ class TestSD503SharedRandomSource:
 
 
 class TestRealTree:
-    def test_tree_is_clean(self):
-        assert procsafety.run(SRC_ROOT) == []
+    def test_tree_is_clean(self, src_index):
+        # Clean but for one baselined static-only path: calibration
+        # trials mine LogStores, which never reach _pool_map, but
+        # LogMiner.mine's directory branch is reachable statically, and
+        # with it _pool_map's function-local sanitizer import.
+        findings = procsafety.analyze(src_index)
+        assert [(f.rule, f.path) for f in findings] == [
+            ("SD501", "repro/analysis/sanitizer.py")
+        ]
+        assert findings[0].message.startswith(
+            "record() mutates module global '_findings' and is reachable "
+            "from _evaluate_task()"
+        )
 
-    def test_miner_submission_sites_are_discovered(self):
+    def test_miner_submission_sites_are_discovered(self, src_index):
         # The pass must actually *see* the parser's executor fan-out
         # (including the _pool_map wrapper form) — a clean report born
         # of blindness would be worthless.
-        graph = CallGraph.build(SRC_ROOT)
+        graph = src_index.call_graph
         targets = set()
         for qualname in sorted(graph.index.functions):
             for site in procsafety._sites_in(
@@ -326,10 +337,10 @@ class TestRealTree:
             "repro.core.parser._mine_chunk_task"
         }
 
-    def test_calibrate_submission_site_is_discovered(self):
+    def test_calibrate_submission_site_is_discovered(self, src_index):
         # Same blindness guard for the calibration fit driver: the
         # SD5xx pass must see the trial fan-out's worker function.
-        graph = CallGraph.build(SRC_ROOT)
+        graph = src_index.call_graph
         targets = set()
         for qualname in sorted(graph.index.functions):
             for site in procsafety._sites_in(

@@ -1,11 +1,7 @@
 """Tests for sdlint pass 2: state-machine analysis (SD201-SD204)."""
 
-from pathlib import Path
-
 from repro.analysis import statemachines
 from repro.analysis.extract import StateMachineSpec
-
-SRC_ROOT = Path(__file__).resolve().parents[1] / "src"
 
 RMAPP_CLS = "org.apache.hadoop.yarn.server.resourcemanager.rmapp.RMAppImpl"
 
@@ -80,16 +76,16 @@ class TestVisibility:
 
 
 class TestPristineTree:
-    def test_only_known_invisible_transitions(self):
-        findings = statemachines.run(SRC_ROOT)
+    def test_only_known_invisible_transitions(self, src_index):
+        findings = statemachines.analyze(src_index)
         assert findings and {f.rule for f in findings} == {"SD204"}
         assert all(f.severity == "info" for f in findings)
 
-    def test_the_five_accepted_invisible_transitions(self):
+    def test_the_five_accepted_invisible_transitions(self, src_index):
         # Was six before the Table I′ taxonomy extension: KILLING became
         # a mined catalog state, so the SCHEDULED -> KILLING transition
         # is now SDchecker-visible and no longer flagged.
-        messages = sorted(f.message for f in statemachines.run(SRC_ROOT))
+        messages = sorted(f.message for f in statemachines.analyze(src_index))
         assert len(messages) == 5
         assert sum("NMContainerStateMachine" in m for m in messages) == 3
         assert sum("RMAppStateMachine" in m for m in messages) == 2

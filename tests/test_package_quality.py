@@ -114,6 +114,29 @@ class TestImportFootprint:
         assert blocked["report"] == reference["report"]
         assert "total_delay" in blocked["report"]
 
+    #: What the live service loads and a ``query`` does not need.
+    LIVE_SERVICE = ("numpy", "multiprocessing", "http.server", "repro.core",
+                    "repro.live.incremental", "repro.live.server",
+                    "repro.live.router", "repro.live.sharded")
+
+    def test_live_query_cli_loads_only_the_client(self):
+        root = Path(repro.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        probe = "import json, sys\nimport repro.live.cli\nprint(json.dumps(sorted(sys.modules)))\n"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, cwd=root, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout)
+        assert "repro.live.client" in loaded
+        heavy = [
+            name for name in loaded
+            if any(name == mod or name.startswith(mod + ".")
+                   for mod in self.LIVE_SERVICE)
+        ]
+        assert heavy == []
+
     def test_lazy_exports_still_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None, name
