@@ -6,7 +6,7 @@ measures lines/sec for
 
 * the **store** lane (``LogMiner().mine(store)``: the in-memory record
   scan, folded through the same accumulator as every other source);
-* the **fast directory** path (two-phase byte scanning, chunk
+* the **fast directory** path (bulk chunk classification, chunk
   partitioning), serial and at ``jobs=4``;
 
 asserts they all agree event-for-event, timestamps and diagnostics

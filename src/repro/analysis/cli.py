@@ -7,7 +7,7 @@ anything above the baseline remains — the shape CI wants::
     PYTHONPATH=src python -m repro.analysis            # human output
     PYTHONPATH=src python -m repro.analysis --json     # machine output
     PYTHONPATH=src python -m repro.analysis --write-baseline
-    PYTHONPATH=src python -m repro.analysis --check-baseline  # stale?
+    PYTHONPATH=src python -m repro.analysis --check-baseline  # the CI gate
 
 The scan root is the directory *containing* the ``repro`` package
 (``src/`` in a checkout); the default baseline sits next to it at
@@ -71,8 +71,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--check-baseline",
         action="store_true",
         help="exit 1 if the checked-in baseline differs from what "
-        "--write-baseline would produce now (stale-baseline CI gate; "
-        "run with all passes enabled)",
+        "--write-baseline would produce now, printing the keys it would "
+        "add and drop; a fresh baseline accepts every finding, so this "
+        "is the whole CI gate (run with all passes enabled)",
     )
     return parser
 
@@ -95,13 +96,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.check_baseline:
+        # A fresh baseline holds every finding, so this one check also
+        # fails on any finding the baseline does not accept.
         expected = render_baseline(findings)
         actual = baseline_path.read_text() if baseline_path.is_file() else ""
         if expected != actual:
+            current = {finding.key for finding in findings}
+            recorded = load_baseline(baseline_path)
             print(
                 f"sdlint: baseline {baseline_path} is stale; regenerate "
                 f"with --write-baseline and review the diff"
             )
+            for key in sorted(current - recorded):
+                print(f"sdlint: adds {key}")
+            for key in sorted(recorded - current):
+                print(f"sdlint: drops {key}")
             return 1
         print(f"sdlint: baseline {baseline_path} is up to date")
         return 0

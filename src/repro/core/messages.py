@@ -18,6 +18,7 @@ from repro.core.events import EventKind
 __all__ = [
     "APP_ID_RE",
     "CONTAINER_ID_RE",
+    "CONTAINER_LINE_PATTERN",
     "CONTAINER_LINE_PREFIXES",
     "NM_CONTAINER_LINE_PREFIX",
     "RM_APP_LINE_PREFIX",
@@ -85,15 +86,18 @@ CONTAINER_LINE_PREFIXES = (
 #: the cascade in :func:`classify_driver_line` /
 #: :func:`classify_first_task_line` / :func:`classify_mr_task_done_line`;
 #: the branches are mutually exclusive (distinct literal heads), so one
-#: ``match`` is equivalent to trying all five regexes in order.
-_CONTAINER_LINE_RE = re.compile(
-    r"^(?:"
+#: ``match`` is equivalent to trying all five regexes in order.  The
+#: directory miner compiles the same source as bytes, to leave every
+#: other container line to its bulk scan (``$`` then needs MULTILINE).
+CONTAINER_LINE_PATTERN = (
+    r"(?:"
     r"Registered ApplicationMaster for (?P<reg_app>application_\d+_\d{4,})\b"
     r"|SDCHECKER (?P<marker>START_ALLO|END_ALLO)\b.*?(?P<marker_app>application_\d+_\d{4,})"
     r"|Got assigned task (?P<task>\d+)$"
     r"|Task (?P<mr_done>attempt_\d+_\d+_[mr]_\d+_\d+) is done$"
     r")"
 )
+_CONTAINER_LINE_RE = re.compile("^" + CONTAINER_LINE_PATTERN)
 
 #: RMAppImpl new-state -> event kind (messages 1-3 + job end).
 _RMAPP_STATES = {

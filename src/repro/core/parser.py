@@ -27,22 +27,19 @@ source:
 Both scans classify a parsed record through :func:`_record_event`, the
 one place the Table I classifiers meet a stream gate.
 
-Directory sources take the **byte-oriented fast path**, a two-phase
-pipeline over raw ``bytes`` chunks:
-
-* **Phase 1** scans each byte line with fixed-offset probes and two
-  memos (second-granular timestamp prefixes, ``LEVEL Cls`` heads) and
-  gates it on its stream's classifier literals via one C-level
-  ``bytes.startswith`` — the ~90 % of lines that can never produce a
-  :class:`SchedulingEvent` are fully accounted (every diagnostics
-  counter is maintained exactly) without a regex match, a str decode,
-  or a :class:`LogRecord` ever being constructed.  Any line the strict
-  byte probes cannot decide (non-ASCII, drifted timestamp, unusual
-  spacing) falls back to :meth:`LogRecord.classify_parse`, so the fast
-  path's decisions are *exactly* the reference reader's.
-* **Phase 2** decodes and fully parses only the surviving lines,
-  emitting compact primitive tuples that the parent rehydrates into
-  :class:`SchedulingEvent` objects — workers never pickle dataclasses.
+Directory sources take the **byte-oriented fast path**: each raw
+``bytes`` chunk is classified in bulk.  numpy finds the line offsets,
+one regex pass marks the *quiet* lines — clean log4j lines whose
+message cannot yield an event under the stream's gate — and numpy
+reads their timestamps, bit-identical to
+:func:`~repro.logsys.record.parse_timestamp`.  The quiet lines, ~99 %
+of a real collection, are fully accounted (every diagnostics counter
+is maintained exactly) without a str decode or a :class:`LogRecord`;
+every other line goes through :meth:`LogRecord.classify_parse` and
+:func:`_record_event`, so the fast path's decisions are *exactly* the
+reference reader's.  Workers return compact primitive tuples that the
+parent rehydrates into :class:`SchedulingEvent` objects — workers never
+pickle dataclasses.
 
 Parallelism is by deterministic byte-offset chunk: files above
 :data:`~repro.logsys.store.FAST_SPLIT_THRESHOLD` are partitioned at
@@ -56,8 +53,10 @@ MR_TASK_DONE, and the duplicate / out-of-order ledger across chunk
 boundaries — is reconstructed by the merge, which is shared verbatim
 by the serial and parallel paths:
 serial, ``--jobs N``, and any chunking of the same files produce
-byte-identical reports.  A store always mines in-process: its records
-already live here, and shipping them to workers was never faster.
+byte-identical reports.  A :class:`LogMiner` keeps its worker pool
+from one parallel call to the next and joins it when closed or freed.
+A store always mines in-process: its records already live here, and
+shipping them to workers was never faster.
 
 Mining is also *accounted*: :meth:`LogMiner.mine` returns a
 :class:`~repro.core.diagnostics.MiningDiagnostics` alongside the
@@ -71,21 +70,26 @@ measurement error into invisible bias; this one keeps the ledger.
 from __future__ import annotations
 
 import os
+import re
+import sys
+import weakref
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core import messages as msg
 from repro.core.diagnostics import MiningDiagnostics
 from repro.core.events import EventKind, SchedulingEvent
 from repro.logsys.diagnostics import StreamDiagnostics
 from repro.logsys.record import (
+    CLEAN_LINE_HEAD,
     PARSE_BAD_TIMESTAMP,
-    TS_GARBLED,
-    TS_PREFIX_LEN,
     LogRecord,
-    TimestampMemo,
-    classify_head_bytes,
+    clean_fields,
+    clean_timestamps,
 )
 from repro.logsys.store import (
     FAST_CHUNK_TARGET,
@@ -113,10 +117,11 @@ _CONTAINER_DAEMON_RE = msg.CONTAINER_ID_RE
 AUTO_JOBS = "auto"
 
 #: Corpora below this many (estimated) lines mine faster serially than
-#: they can amortize ProcessPoolExecutor spin-up and teardown (~100 ms
-#: against a >1M lines/s serial fast path); BENCH_miner.json shows a
-#: 26k-line corpus *losing* throughput at ``--jobs 4``.
-AUTO_SERIAL_THRESHOLD_LINES = 150_000
+#: one call can amortize a worker pool's start and join.  Measured for
+#: one ``mine`` on a fresh miner (the CLI case), medians of 11 on
+#: 2 vCPUs: 48k lines took 47 ms serially and 76 ms at ``jobs=2``, 67k
+#: lines 64 and 60 ms, 77k lines 72 and 60 ms, 125k lines 111 and 80 ms.
+AUTO_SERIAL_THRESHOLD_LINES = 75_000
 
 #: Corpora are sized without reading them: total bytes over the
 #: observed mean line length of the simulated logs (the benchmark
@@ -132,39 +137,37 @@ _AUTO_MAX_JOBS = 4
 #: start, byte end) — pure strings and ints, nothing to pickle slowly.
 _ChunkTask = Tuple[str, Optional[str], str, int, int]
 
-_RM_APP_PREFIX_B = msg.RM_APP_LINE_PREFIX.encode("ascii")
-_RM_CONTAINER_PREFIX_B = msg.RM_CONTAINER_LINE_PREFIX.encode("ascii")
-_NM_CONTAINER_PREFIX_B = msg.NM_CONTAINER_LINE_PREFIX.encode("ascii")
-_CONTAINER_PREFIXES_B = tuple(p.encode("ascii") for p in msg.CONTAINER_LINE_PREFIXES)
+
+def _quiet_runs(candidates: bytes) -> "re.Pattern[bytes]":
+    """Runs of clean lines whose message does not start with ``candidates``."""
+    lookahead = b"(?!" + candidates + b")" if candidates else b""
+    return re.compile(rb"(?m)^(?:" + CLEAN_LINE_HEAD + lookahead + rb".*(?:\n|\Z))+")
+
+
+#: Per gate, the runs of *quiet* lines: clean lines that cannot yield an
+#: event.  Container logs are mostly chatter, some of it sharing a
+#: literal prefix with a Table I line, so their lookahead is the
+#: container classifier itself; the daemons' candidates are their
+#: literal prefixes, which head hardly any other line.
+_QUIET_RUN_RE = {
+    None: _quiet_runs(b""),
+    "container": _quiet_runs(msg.CONTAINER_LINE_PATTERN.encode("ascii")),
+    "rm": _quiet_runs(
+        re.escape(msg.RM_APP_LINE_PREFIX.encode("ascii"))
+        + b"|"
+        + re.escape(msg.RM_CONTAINER_LINE_PREFIX.encode("ascii"))
+    ),
+    "nm": _quiet_runs(re.escape(msg.NM_CONTAINER_LINE_PREFIX.encode("ascii"))),
+}
+
+#: Bytes searched for newlines at a time.
+_NEWLINE_BLOCK = 1 << 16
 
 _FIRST_TASK_VALUE = EventKind.FIRST_TASK.value
 _MR_TASK_DONE_VALUE = EventKind.MR_TASK_DONE.value
+#: Kinds a stream keeps only the first of.
+_FIRST_ONLY = frozenset((_FIRST_TASK_VALUE, _MR_TASK_DONE_VALUE))
 _KIND_BY_VALUE = {kind.value: kind for kind in EventKind}
-
-#: Cap of the per-run ``LEVEL Cls`` head memo (same rationale as
-#: :class:`TimestampMemo`: hostile input must not grow it unboundedly).
-_HEAD_MEMO_CAP = 1 << 14
-
-
-def _head_entry(head: bytes):
-    """Memo entry for one head span: (level, cls, *relevance), or False.
-
-    The relevance flags pre-answer the ``cls.endswith`` probes of
-    :func:`_record_event` so the hot loop pays them once per distinct
-    head, not once per line.  ``False`` (not None — that is ``dict.get``'s
-    miss value) marks a span that can never occur in a log4j line.
-    """
-    parsed = classify_head_bytes(head)
-    if parsed is None:
-        return False
-    level, cls = parsed
-    return (
-        level,
-        cls,
-        cls.endswith("RMAppImpl"),
-        cls.endswith("RMContainerImpl"),
-        cls.endswith("ContainerImpl"),
-    )
 
 
 def _pool_map(pool: ProcessPoolExecutor, fn, tasks, chunksize: int = 1):
@@ -204,7 +207,13 @@ _StreamPlan = Tuple[str, Optional[str], int, int]
 
 
 class LogMiner:
-    """Extracts Table I events from a :class:`LogStore` or a directory."""
+    """Extracts Table I events from a :class:`LogStore` or a directory.
+
+    A miner keeps its worker pool from one parallel :meth:`mine` to the
+    next: it starts on the first parallel call and is rebuilt when a
+    worker dies or the worker count changes.  :meth:`close`, or dropping
+    the miner, joins the workers, so none outlives its miner.
+    """
 
     def __init__(
         self,
@@ -215,6 +224,18 @@ class LogMiner:
         self.split_threshold = split_threshold
         #: Aimed chunk size when splitting.
         self.chunk_target = chunk_target
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_workers = 0
+        self._shutdown_pool: Optional[weakref.finalize] = None
+
+    def close(self) -> None:
+        """Shut the worker pool down and join its workers.
+
+        The miner stays usable; its next parallel call starts a new pool.
+        """
+        if self._shutdown_pool is not None:
+            self._shutdown_pool()
+        self._pool = self._shutdown_pool = None
 
     def mine(
         self, source: Union[LogStore, str, Path], jobs: Union[int, str] = 1
@@ -222,7 +243,7 @@ class LogMiner:
         """All scheduling events, in per-stream log order, and the ledger.
 
         ``jobs`` is a worker-process count or :data:`AUTO_JOBS`, which
-        resolves through :func:`resolve_jobs`.  A directory's byte-range
+        resolves as :func:`resolve_jobs` does.  A directory's byte-range
         chunks are independent, and their scans are merged in the order
         serial mining visits them, so the output is byte-identical at
         every ``jobs``; ``jobs <= 1`` runs inline.  A :class:`LogStore`
@@ -230,12 +251,12 @@ class LogMiner:
         """
         if isinstance(source, LogStore):
             return _mine_store(source)
-        return self._mine_directory(source, resolve_jobs(jobs, source))
+        return self._mine_directory(source, jobs)
 
     def _mine_directory(
-        self, source: Union[str, Path], jobs: int
+        self, source: Union[str, Path], jobs: Union[int, str]
     ) -> Tuple[List[SchedulingEvent], MiningDiagnostics]:
-        """Mine a log directory through the two-phase byte pipeline."""
+        """Mine a log directory chunk by chunk, inline or on the pool."""
         plans: List[_StreamPlan] = []
         tasks: List[_ChunkTask] = []
         for daemon, paths in stream_segments(source):
@@ -249,28 +270,43 @@ class LogMiner:
             ]
             plans.append((daemon, gate, len(paths), len(chunks)))
             tasks.extend(chunks)
-        if jobs <= 1 or len(tasks) <= 1:
-            # Serial: one memo pair spans the whole run, so a timestamp
-            # second or head seen in any stream stays warm for the next.
-            # The generator keeps at most one chunk's lines materialized.
-            ts_memo = TimestampMemo()
-            head_memo: dict = {}
+        if jobs == AUTO_JOBS:
+            jobs = _auto_jobs(sum(end - start for *_task, start, end in tasks))
+        workers = min(int(jobs), len(tasks))
+        if workers <= 1:
+            # The generator keeps at most one chunk in memory.
             scans = (
-                _scan_chunk(
-                    daemon, gate, read_chunk(path, start, end), ts_memo, head_memo
-                )
+                _scan_chunk(daemon, gate, read_chunk(path, start, end))
                 for daemon, gate, path, start, end in tasks
             )
             return _merge_plans(plans, scans)
-        workers = min(jobs, len(tasks))
+        try:
+            return self._mine_on_pool(plans, tasks, workers)
+        except BrokenProcessPool as error:
+            # A worker died (killed, out of memory) since or during the
+            # last call: mine once more on a fresh pool.  The error's
+            # frames hold this miner; drop them, so freeing it still
+            # joins the new pool at once.
+            error.__traceback__ = None
+            self.close()
+            return self._mine_on_pool(plans, tasks, workers)
+
+    def _mine_on_pool(
+        self, plans: List[_StreamPlan], tasks: List[_ChunkTask], workers: int
+    ) -> Tuple[List[SchedulingEvent], MiningDiagnostics]:
+        """Scan the chunks on the kept pool, starting one if needed."""
+        pool = self._pool
+        if pool is None or self._pool_workers != workers:
+            self.close()
+            pool = ProcessPoolExecutor(max_workers=workers)
+            self._pool, self._pool_workers = pool, workers
+            self._shutdown_pool = weakref.finalize(self, pool.shutdown)
         chunksize = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # Executor.map preserves input order: the merge is
-            # deterministic no matter which worker finishes first, and
-            # it consumes results lazily — the parent stitches chunk N
-            # while workers still scan N+1.
-            scans = _pool_map(pool, _mine_chunk_task, tasks, chunksize=chunksize)
-            return _merge_plans(plans, scans)
+        # Executor.map preserves input order: the merge is deterministic
+        # no matter which worker finishes first, and it consumes results
+        # lazily — the parent stitches chunk N while workers scan N+1.
+        scans = _pool_map(pool, _mine_chunk_task, tasks, chunksize=chunksize)
+        return _merge_plans(plans, scans)
 
 
 def _mine_store(store: LogStore) -> Tuple[List[SchedulingEvent], MiningDiagnostics]:
@@ -303,8 +339,8 @@ def _record_event(
     """The compact event tuple one parsed record yields, or None.
 
     The per-record classification both scans share: :func:`_scan_chunk`
-    for every line its byte probes cannot decide, :func:`_scan_records`
-    for every record of a store.  The tuple layout is the scans' —
+    for every line that is not quiet, :func:`_scan_records` for every
+    record of a store.  The tuple layout is the scans' —
     ``(kind_value, ts, app_id, container_id, source_class)``.
     ``stream_app`` is the application of a container stream (the
     default owner of its driver lines).
@@ -403,14 +439,38 @@ def _scan_records(
     )
 
 
+def _quiet_lines(buf: bytes, gate: Optional[str]):
+    """``(view, starts, ends, quiet)``: the lines of ``buf`` and which are quiet.
+
+    ``view`` is ``buf`` as a numpy ``uint8`` array; ``starts`` and
+    ``ends`` bound each ``\\n``-terminated line (the terminator
+    excluded, an unterminated last line included); ``quiet`` marks the
+    clean lines that cannot yield an event under ``gate``.
+    """
+    view = np.frombuffer(buf, dtype=np.uint8)
+    # Block by block, so the newline mask stays small beside the chunk.
+    ends = [np.zeros(0, dtype=np.intp)]
+    for at in range(0, len(view), _NEWLINE_BLOCK):
+        ends.append(np.flatnonzero(view[at : at + _NEWLINE_BLOCK] == 0x0A) + at)
+    if buf and not buf.endswith(b"\n"):
+        ends.append(np.array([len(buf)]))  # the unterminated last line
+    ends = np.concatenate(ends)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    quiet = np.zeros(len(ends), dtype=bool)
+    for run in _QUIET_RUN_RE[gate].finditer(buf):
+        lo, hi = starts.searchsorted(run.span())
+        quiet[lo:hi] = True
+    if not buf.isascii():
+        # ``.`` matched the non-ASCII bytes; their lines are not clean.
+        quiet[starts.searchsorted(np.flatnonzero(view >= 0x80), "right") - 1] = False
+    return view, starts, ends, quiet
+
+
 def _scan_chunk(
-    daemon: str,
-    gate: Optional[str],
-    buf: bytes,
-    ts_memo: Optional[TimestampMemo] = None,
-    head_memo: Optional[dict] = None,
+    daemon: str, gate: Optional[str], buf: bytes
 ) -> Tuple[List[tuple], Tuple[int, ...], Optional[tuple], Optional[tuple]]:
-    """Phase 1+2 over one byte chunk: gate every line, parse survivors.
+    """Classify one byte chunk in bulk: its events, ledger and end records.
 
     Returns ``(events, counters, first_key, last_key)``: *events* are
     compact ``(kind_value, ts, app_id, container_id, source_class)``
@@ -421,231 +481,73 @@ def _scan_chunk(
     nothing parsed), which :class:`StreamEventAccumulator` uses to
     stitch the duplicate/out-of-order ledger across chunk boundaries.
 
-    The fast lane handles exactly the lines whose classification the
-    strict byte probes can decide: pure-ASCII lines whose first 19
-    bytes are an epoch-month timestamp.  Everything else — non-ASCII
-    bytes, drifted timestamps, anything shape-ambiguous — falls through
-    to :meth:`LogRecord.classify_parse` on the decoded line and
-    :func:`_record_event`, so every counter and every event agrees with
-    the regex reader bit-for-bit.
+    One regex pass marks the quiet lines (:data:`_QUIET_RUN_RE`) and
+    numpy reads their timestamps; a quiet line costs no Python work
+    unless it ties the previous record's timestamp.  Every other line
+    goes through :meth:`LogRecord.classify_parse` and
+    :func:`_record_event`, so every counter and every event agrees
+    with the regex reader bit for bit.
     """
-    if ts_memo is None:
-        ts_memo = TimestampMemo()
-    if head_memo is None:
-        head_memo = {}
-    lines = buf.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()  # terminator of the final line, not an empty line
+    view, starts, ends, quiet = _quiet_lines(buf, gate)
+    stamps = np.zeros(len(ends))
+    stamps[quiet] = clean_timestamps(view, starts[quiet])
+    parsed = quiet.copy()
+
+    def record_of(line: int) -> Tuple[Optional[LogRecord], str, str]:
+        """The reference reader's ``(record, outcome, text)`` of a line."""
+        text = buf[int(starts[line]) : int(ends[line])].decode("utf-8", errors="replace")
+        return (*LogRecord.classify_parse(text), text)
+
+    def key(line: int) -> tuple:
+        """``(ts, level, cls, message)`` of a parsed line."""
+        if quiet[line]:
+            fields = clean_fields(buf, int(starts[line]), int(ends[line]))
+            return (float(stamps[line]), *fields)
+        record = record_of(line)[0]
+        return (record.timestamp, record.level, record.cls, record.message)
+
+    # -- every other line: the reference reader, in line order -------------
+    stream_app = msg.app_id_of_container(daemon) if gate == "container" else None
     events: List[tuple] = []
-    parsed = garbled = bad_ts = replacements = dups = ooo = 0
-    # State of the previous *parsed* record for the duplicate /
-    # backwards-timestamp ledger (same semantics as _scan_records).
-    # The message text is kept lazily: between two fast-lane lines it is
-    # compared as raw bytes; a decode only happens on the rare
-    # timestamp-tie against a slow-lane record.
-    prev_ts: Optional[float] = None
-    prev_level: Optional[str] = None
-    prev_cls: Optional[str] = None
-    prev_line: Optional[bytes] = None  # fast lane: raw previous line ...
-    prev_delim = 0  # ... and its ": " offset
-    prev_message: Optional[str] = None  # slow lane: decoded message
-    first_key: Optional[tuple] = None
-    gate_rm = gate == "rm"
-    gate_nm = gate == "nm"
-    gate_container = gate == "container"
-    stream_app = msg.app_id_of_container(daemon) if gate_container else None
-    saw_task = False
-    saw_mr_done = False
-    ts_cache_get = ts_memo.cache.get
-    ts_memo_miss = ts_memo.miss
-    head_get = head_memo.get
-    emit = events.append
-    for line in lines:
-        if line.isascii():
-            prefix = line[:TS_PREFIX_LEN]
-            base = ts_cache_get(prefix)
-            if base is None:
-                base = ts_memo_miss(prefix)
-            if type(base) is float:
-                # Fixed log4j offsets: ",SSS " occupies bytes 19-23
-                # (44 is ``,``, 32 the space); the shortest line the
-                # layout admits — "<ts>,SSS L C: " — is 29 bytes.
-                millis = line[20:23]
-                if (
-                    len(line) < 29
-                    or line[19] != 44
-                    or line[23] != 32
-                    or not millis.isdigit()
-                ):
-                    garbled += 1
-                    continue
-                delim = line.find(b": ", 24)
-                if delim < 0:
-                    garbled += 1
-                    continue
-                entry = head_get(line[24:delim])
-                if entry is None:
-                    head = line[24:delim]
-                    if len(head_memo) >= _HEAD_MEMO_CAP:
-                        head_memo.clear()
-                    entry = head_memo[head] = _head_entry(head)
-                if entry is False:
-                    garbled += 1
-                    continue
-                # Same operation order as parse_timestamp, so the float
-                # is bit-identical to the reference parse.
-                ts = base + int(millis) / 1000.0
-                parsed += 1
-                level = entry[0]
-                cls = entry[1]
-                if prev_ts is not None:
-                    if ts < prev_ts:
-                        ooo += 1
-                    elif ts == prev_ts and level == prev_level and cls == prev_cls:
-                        message_b = line[delim + 2 :]
-                        if prev_line is not None:
-                            same = message_b == prev_line[prev_delim + 2 :]
-                        else:
-                            same = message_b.decode("utf-8") == prev_message
-                        if same:
-                            dups += 1
-                prev_ts = ts
-                prev_level = level
-                prev_cls = cls
-                prev_line = line
-                prev_delim = delim
-                prev_message = None
-                if first_key is None:
-                    first_key = (ts, level, cls, line[delim + 2 :].decode("utf-8"))
-                start = delim + 2
-                if gate_container:
-                    if line.startswith(_CONTAINER_PREFIXES_B, start):
-                        hit = msg.classify_container_line(
-                            line[start:].decode("utf-8")
-                        )
-                        if hit is not None:
-                            kind, line_app = hit
-                            kind_value = kind.value
-                            if kind_value == _FIRST_TASK_VALUE:
-                                if saw_task:
-                                    continue
-                                saw_task = True
-                            elif kind_value == _MR_TASK_DONE_VALUE:
-                                if saw_mr_done:
-                                    continue
-                                saw_mr_done = True
-                            emit(
-                                (
-                                    kind_value,
-                                    ts,
-                                    stream_app if line_app is None else line_app,
-                                    daemon,
-                                    cls,
-                                )
-                            )
-                elif gate_rm:
-                    if entry[2] and line.startswith(_RM_APP_PREFIX_B, start):
-                        hit = msg.classify_rm_app_line(line[start:].decode("utf-8"))
-                        if hit is not None:
-                            emit((hit[0].value, ts, hit[1], None, ""))
-                    elif entry[3] and line.startswith(_RM_CONTAINER_PREFIX_B, start):
-                        hit = msg.classify_rm_container_line(
-                            line[start:].decode("utf-8")
-                        )
-                        if hit is not None:
-                            kind, container_id = hit
-                            emit(
-                                (
-                                    kind.value,
-                                    ts,
-                                    msg.app_id_of_container(container_id),
-                                    container_id,
-                                    "",
-                                )
-                            )
-                elif gate_nm:
-                    if entry[4] and line.startswith(_NM_CONTAINER_PREFIX_B, start):
-                        hit = msg.classify_nm_container_line(
-                            line[start:].decode("utf-8")
-                        )
-                        if hit is not None:
-                            kind, container_id = hit
-                            emit(
-                                (
-                                    kind.value,
-                                    ts,
-                                    msg.app_id_of_container(container_id),
-                                    container_id,
-                                    "",
-                                )
-                            )
-                continue
-            if base is TS_GARBLED:
-                garbled += 1
-                continue
-            # TS_FOREIGN: timestamp-shaped but outside the epoch month —
-            # bad-timestamp vs garbled depends on the rest of the line's
-            # shape, which classify_parse below decides.
-        # -- slow lane: reference semantics on the decoded line ---------
-        text = line.decode("utf-8", errors="replace")
-        if "�" in text:
+    seen = set()
+    garbled = bad_ts = replacements = 0
+    for line in np.flatnonzero(~quiet).tolist():
+        record, outcome, text = record_of(line)
+        if "\ufffd" in text:
             replacements += 1
-        record, outcome = LogRecord.classify_parse(text)
         if record is None:
             if outcome == PARSE_BAD_TIMESTAMP:
                 bad_ts += 1
             else:
                 garbled += 1
             continue
-        parsed += 1
         ts = record.timestamp
-        message = record.message
-        if prev_ts is not None:
-            if ts < prev_ts:
-                ooo += 1
-            elif (
-                ts == prev_ts
-                and record.level == prev_level
-                and record.cls == prev_cls
-            ):
-                if prev_line is not None:
-                    same = message == prev_line[prev_delim + 2 :].decode("utf-8")
-                else:
-                    same = message == prev_message
-                if same:
-                    dups += 1
-        prev_ts = ts
-        prev_level = record.level
-        prev_cls = record.cls
-        prev_line = None
-        prev_message = message
-        if first_key is None:
-            first_key = (ts, record.level, record.cls, message)
-        event = _record_event(daemon, gate, stream_app, ts, record.cls, message)
-        if event is not None:
-            kind_value = event[0]
-            if kind_value == _FIRST_TASK_VALUE:
-                if saw_task:
-                    continue
-                saw_task = True
-            elif kind_value == _MR_TASK_DONE_VALUE:
-                if saw_mr_done:
-                    continue
-                saw_mr_done = True
-            emit(event)
-    if prev_ts is None:
-        last_key = None
-    elif prev_line is not None:
-        last_key = (
-            prev_ts,
-            prev_level,
-            prev_cls,
-            prev_line[prev_delim + 2 :].decode("utf-8"),
-        )
-    else:
-        last_key = (prev_ts, prev_level, prev_cls, prev_message)
-    counters = (len(lines), parsed, garbled, bad_ts, replacements, dups, ooo)
-    return events, counters, first_key, last_key
+        parsed[line] = True
+        stamps[line] = ts
+        event = _record_event(daemon, gate, stream_app, ts, record.cls, record.message)
+        if event is None:
+            continue
+        if event[0] in _FIRST_ONLY:
+            if event[0] in seen:
+                continue
+            seen.add(event[0])
+        events.append(event)
+
+    # -- the ledger: each parsed record against the previous one ----------
+    order = np.flatnonzero(parsed)
+    times = stamps[order]
+    ooo = int(np.count_nonzero(times[1:] < times[:-1]))
+    ties = np.flatnonzero(times[1:] == times[:-1])
+    dups = 0
+    carried: Tuple[int, Optional[tuple]] = (-1, None)  # a tie run's last key
+    for left, right in zip(order[ties].tolist(), order[ties + 1].tolist()):
+        left_key = carried[1] if carried[0] == left else key(left)
+        carried = (right, key(right))
+        dups += left_key == carried[1]
+    counters = (len(ends), len(order), garbled, bad_ts, replacements, dups, ooo)
+    if not len(order):
+        return events, counters, None, None
+    return events, counters, key(int(order[0])), key(int(order[-1]))
 
 
 def _mine_chunk_task(task: _ChunkTask) -> tuple:
@@ -767,7 +669,11 @@ class StreamEventAccumulator:
         )
 
     def events(self) -> List[SchedulingEvent]:
-        """Rehydrate the stream's events, INSTANCE_FIRST_LOG included."""
+        """Rehydrate the stream's events, INSTANCE_FIRST_LOG included.
+
+        IDs are interned: reports built from the same logs (a live
+        session's revisions, repeated analyses) share them.
+        """
         events: List[SchedulingEvent] = []
         if self.gate == "container" and self.first_key is not None:
             ts, _level, cls, message = self.first_key
@@ -775,7 +681,7 @@ class StreamEventAccumulator:
                 SchedulingEvent(
                     EventKind.INSTANCE_FIRST_LOG,
                     ts,
-                    msg.app_id_of_container(self.daemon),
+                    sys.intern(msg.app_id_of_container(self.daemon)),
                     self.daemon,
                     self.daemon,
                     source_class=cls,
@@ -787,8 +693,8 @@ class StreamEventAccumulator:
                 SchedulingEvent(
                     _KIND_BY_VALUE[kind_value],
                     ts,
-                    app_id,
-                    container_id,
+                    app_id and sys.intern(app_id),
+                    container_id and sys.intern(container_id),
                     self.daemon,
                     source_class=source_class,
                 )
@@ -868,26 +774,31 @@ def resolve_jobs(
     than mining them in place.
 
     For a directory, an explicit count (the CLI's ``--jobs N``) is
-    used as is.
-
-    ``auto`` picks serial mining unless both the machine and the corpus
-    can profit from workers: on a single usable CPU, workers only add
-    pickle traffic, and below :data:`AUTO_SERIAL_THRESHOLD_LINES` the
-    pool spin-up outweighs any speedup.  Corpora are sized by bytes —
-    no line scan — via the observed mean line length.
+    used as is, and ``auto`` sizes the corpus by its bytes — no line
+    scan — for :func:`_auto_jobs`.
     """
     if isinstance(source, LogStore):
         return 1
     if jobs != AUTO_JOBS:
         return int(jobs)
-    cpus = available_cpus()
-    if cpus <= 1:
-        return 1
-    total_bytes = sum(
-        path.stat().st_size
-        for _daemon, paths in stream_segments(source)
-        for path in paths
+    return _auto_jobs(
+        sum(
+            path.stat().st_size
+            for _daemon, paths in stream_segments(source)
+            for path in paths
+        )
     )
-    if total_bytes // _AUTO_BYTES_PER_LINE < AUTO_SERIAL_THRESHOLD_LINES:
+
+
+def _auto_jobs(total_bytes: int) -> int:
+    """The ``auto`` worker count for a directory of ``total_bytes``.
+
+    Serial unless both the machine and the corpus can profit from
+    workers: on a single usable CPU, workers only add pickle traffic,
+    and below :data:`AUTO_SERIAL_THRESHOLD_LINES` (estimated through the
+    observed mean line length) the pool spin-up outweighs any speedup.
+    """
+    cpus = available_cpus()
+    if cpus <= 1 or total_bytes // _AUTO_BYTES_PER_LINE < AUTO_SERIAL_THRESHOLD_LINES:
         return 1
     return min(cpus, _AUTO_MAX_JOBS)

@@ -1,8 +1,8 @@
 """Incremental mining over a tailed log directory.
 
 :class:`LiveMiner` feeds each newly tailed byte chunk through the batch
-fast path's phase-1/2 scanner (:func:`repro.core.parser._scan_chunk`)
-and folds the result into the *same*
+miner's chunk classifier (:func:`repro.core.parser._scan_chunk`) and
+folds the result into the *same*
 :class:`~repro.core.parser.StreamEventAccumulator` the batch chunk
 merge uses.  Because the accumulator's stitching is independent of how
 the stream's bytes were cut into chunks, a live session that has
@@ -56,7 +56,6 @@ from repro.core.parser import StreamEventAccumulator, _gate_kind, _scan_chunk
 from repro.core.report import AnalysisReport
 from repro.live.metrics import build_live_registry
 from repro.live.tailer import DirectoryTailer, TailChunk
-from repro.logsys.record import TimestampMemo
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -130,10 +129,6 @@ class LiveMiner:
 
     def __init__(self):
         self.streams: Dict[str, StreamEventAccumulator] = {}
-        # Shared memo pair, exactly like the batch serial fast path: a
-        # timestamp second or head span seen in any chunk stays warm.
-        self._ts_memo = TimestampMemo()
-        self._head_memo: dict = {}
 
     def ensure_stream(self, daemon: str, segments: int) -> StreamEventAccumulator:
         """Register a stream (even an empty one — the ledger lists it)."""
@@ -156,7 +151,7 @@ class LiveMiner:
         accepted events.  Correctness lives entirely in the accumulator.
         """
         acc = self.ensure_stream(daemon, segments)
-        scan = _scan_chunk(daemon, acc.gate, data, self._ts_memo, self._head_memo)
+        scan = _scan_chunk(daemon, acc.gate, data)
         return acc.absorb(scan), scan[1]
 
     def evict_app(self, app_id: str) -> List[str]:

@@ -17,19 +17,16 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "LogRecord",
-    "TimestampMemo",
-    "classify_head_bytes",
-    "classify_ts_prefix",
+    "clean_fields",
+    "clean_timestamps",
     "format_timestamp",
     "millisecond_stamp",
     "parse_timestamp",
+    "CLEAN_LINE_HEAD",
     "EPOCH_LABEL",
     "PARSE_OK",
     "PARSE_GARBLED",
     "PARSE_BAD_TIMESTAMP",
-    "TS_PREFIX_LEN",
-    "TS_GARBLED",
-    "TS_FOREIGN",
 ]
 
 #: Outcomes of :meth:`LogRecord.classify_parse`.
@@ -55,105 +52,65 @@ _LINE_RE = re.compile(
     r"(?P<cls>[\w.$\-]+): (?P<message>.*)$"
 )
 
-# -- byte-oriented fast-path primitives ---------------------------------------
+# -- clean lines: the bulk directory scan's share of the grammar ----------
 #
-# The directory-mining fast path (repro.core.parser) classifies raw
-# ``bytes`` lines before any str decoding or LogRecord construction.
-# The contract is *exactness*: for any line these helpers either decide
-# precisely what :meth:`LogRecord.classify_parse` would decide, or they
-# refuse (TS_FOREIGN / a failed shape probe) and the caller falls back
-# to ``classify_parse`` on the decoded line.  They therefore only ever
-# handle pure-ASCII lines, where byte offsets equal str offsets and the
-# ASCII-only byte patterns agree with the unicode-aware str patterns.
+# The directory miner (repro.core.parser) scans whole byte chunks.  It
+# marks *clean* lines in one regex pass and reads their timestamps and
+# fields at fixed offsets; every other line goes through
+# :meth:`LogRecord.classify_parse` one at a time.  A clean line is a
+# pure-ASCII line that ``_LINE_RE`` matches and whose date lies in the
+# epoch month, so it parses.  On ASCII bytes ``\d`` and ``\w`` mean
+# what they mean on ASCII text; ``\w`` is spelled out as its class,
+# which ``re`` matches faster.
 
-#: Length of the ``yyyy-MM-dd HH:mm:ss`` prefix the fast path memoizes.
-#: Millisecond digits are excluded on purpose: lines emitted within the
-#: same second share a memo entry, so a ticking corpus hits the cache
-#: ~1000x more often than a full-timestamp key would.
-TS_PREFIX_LEN = 19
+#: Bytes pattern of a clean line up to its message: the epoch-month
+#: timestamp, the level, the class and the first ``": "``.
+CLEAN_LINE_HEAD = (
+    re.escape(EPOCH_LABEL[:8].encode("ascii"))
+    + rb"\d\d \d\d:\d\d:\d\d,\d\d\d [A-Z]+ +[0-9A-Za-z_.$\-]+: "
+)
 
-#: The 19-byte prefix cannot open a log4j line at all.
-TS_GARBLED = object()
-#: The prefix is timestamp-shaped but outside the simulated epoch month
-#: (format drift).  Whether the line counts as bad-timestamp or garbled
-#: then depends on the rest of its shape — callers must fall back to
-#: :meth:`LogRecord.classify_parse`.
-TS_FOREIGN = object()
-
-_TS_PREFIX_RE_B = re.compile(rb"\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}")
-#: ``LEVEL  emitting.Cls`` between the timestamp and the ``": "``
-#: delimiter.  ``\w`` in a bytes pattern is ASCII-only, which is exact
-#: here because the fast path never feeds non-ASCII lines through.
-_HEAD_RE_B = re.compile(rb"[A-Z]+ +[\w.$\-]+")
-
-_EPOCH_YM_B = EPOCH_LABEL[:7].encode("ascii")
+#: Offset of the level: after the 23-byte timestamp and one space.
+_HEAD_OFFSET = 24
 
 
-def classify_ts_prefix(prefix: bytes):
-    """Classify a 19-byte ``yyyy-MM-dd HH:mm:ss`` candidate prefix.
+def clean_timestamps(view, starts):
+    """:func:`parse_timestamp` of the clean lines at ``starts``, in bulk.
 
-    Returns the simulated seconds as a ``float`` (the value
-    :func:`parse_timestamp` would produce for zero milliseconds), or
-    :data:`TS_GARBLED` / :data:`TS_FOREIGN` as described above.
-    """
-    if len(prefix) != TS_PREFIX_LEN or _TS_PREFIX_RE_B.fullmatch(prefix) is None:
-        return TS_GARBLED
-    if prefix[:7] != _EPOCH_YM_B:
-        return TS_FOREIGN
-    text = prefix.decode("ascii")
-    return parse_timestamp(text[:10], text[11:], "000")
-
-
-def classify_head_bytes(head: bytes):
-    """``(level, cls)`` for a ``LEVEL  Cls`` byte span, or None.
-
-    ``head`` is the region between the timestamp field and the first
-    ``": "`` delimiter.  A None return is definitive for ASCII lines:
-    the full line cannot match the log4j layout, because the level/class
-    region admits neither ``':'`` nor any character outside the strict
-    pattern, so no later ``": "`` can rescue the match.
-    """
-    if _HEAD_RE_B.fullmatch(head) is None:
-        return None
-    text = head.decode("ascii")
-    level, _, rest = text.partition(" ")
-    return level, rest.lstrip(" ")
-
-
-class TimestampMemo:
-    """Memoized timestamp-prefix classification for one mining run.
-
-    A bounded dict from 19-byte prefixes to :func:`classify_ts_prefix`
-    results.  Log lines arrive in near-monotonic bursts, so consecutive
-    lines overwhelmingly share a one-second prefix; the cap only exists
-    so hostile input (every line a distinct garbled prefix) cannot grow
-    the memo without bound — on overflow the cache simply restarts.
-
-    :attr:`cache` is deliberately public: a hot loop binds
-    ``cache.get`` locally and only pays the :meth:`miss` call on the
-    rare prefix it has not seen this second.
+    ``view`` is a numpy ``uint8`` view of the buffer and ``starts`` an
+    integer array of clean-line offsets.  The digits are read at their
+    fixed offsets into whole seconds, then the milliseconds are added
+    as :func:`parse_timestamp` adds them, so each float is bit-identical
+    to the reference parse.  Work arrays are updated in place.
     """
 
-    __slots__ = ("cache", "_cap")
+    def number(offset: int, width: int):
+        value = view[starts + offset].astype("int64")
+        value -= 48
+        for k in range(offset + 1, offset + width):
+            value *= 10
+            value += view[starts + k]
+            value -= 48
+        return value
 
-    def __init__(self, cap: int = 1 << 16):
-        #: The raw prefix -> result mapping, exposed for inlined reads.
-        self.cache: dict = {}
-        self._cap = cap
+    seconds = number(8, 2)
+    seconds -= int(EPOCH_LABEL[8:])
+    seconds *= _DAY
+    seconds += number(11, 2) * 3600
+    seconds += number(14, 2) * 60
+    seconds += number(17, 2)
+    return seconds + number(20, 3) / 1000.0
 
-    def lookup(self, prefix: bytes):
-        """Cached :func:`classify_ts_prefix` of ``prefix``."""
-        hit = self.cache.get(prefix)
-        if hit is None:
-            hit = self.miss(prefix)
-        return hit
 
-    def miss(self, prefix: bytes):
-        """Classify, remember, and return an uncached ``prefix``."""
-        if len(self.cache) >= self._cap:
-            self.cache.clear()
-        hit = self.cache[prefix] = classify_ts_prefix(prefix)
-        return hit
+def clean_fields(buf: bytes, start: int, end: int) -> "tuple[str, str, str]":
+    """``(level, cls, message)`` of the clean line ``buf[start:end]``.
+
+    The head admits no ``':'``, so the first ``": "`` after the
+    timestamp is the delimiter.
+    """
+    delim = buf.find(b": ", start + _HEAD_OFFSET, end)
+    level, _, cls = buf[start + _HEAD_OFFSET : delim].decode("ascii").partition(" ")
+    return level, cls.lstrip(" "), buf[delim + 2 : end].decode("ascii")
 
 
 def format_timestamp(sim_seconds: float) -> str:

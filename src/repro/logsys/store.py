@@ -23,6 +23,7 @@ owns.  It is the only chunk reader.
 from __future__ import annotations
 
 import re
+import sys
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -235,7 +236,8 @@ def stream_segments(directory: str | Path) -> List[Tuple[str, List[Path]]]:
         # Live files (no index) sort after every rotated segment; rotated
         # segments sort highest-index (oldest) first.
         index = -1 if m["index"] is None else int(m["index"])
-        groups.setdefault(m["daemon"], []).append((index, path))
+        # Interned: every scan and report of this directory shares it.
+        groups.setdefault(sys.intern(m["daemon"]), []).append((index, path))
     out: List[Tuple[str, List[Path]]] = []
     for daemon in sorted(groups):
         segments = sorted(groups[daemon], key=lambda item: item[0], reverse=True)

@@ -188,6 +188,29 @@ class TestBaselineWorkflow:
         assert rc == 1
         assert "stale" in capsys.readouterr().out
 
+    def test_check_baseline_names_added_and_dropped_keys(
+        self, scratch_tree, tmp_path, capsys
+    ):
+        # One run gates both: a finding the baseline lacks makes it
+        # stale, and so does an entry nothing reports any more.
+        (scratch_tree / "repro" / "sneaky.py").write_text(
+            '"""A module that breaks determinism for the test."""\n'
+            "import random\n\n\n"
+            "def jitter():\n"
+            "    return random.random()\n"
+        )
+        stale = tmp_path / "stale.baseline"
+        stale.write_text(BASELINE.read_text() + "SD301 repro/gone.py stale\n")
+        rc = main(
+            ["--root", str(scratch_tree), "--baseline", str(stale), "--check-baseline"]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        added = [line for line in lines if line.startswith("sdlint: adds ")]
+        dropped = [line for line in lines if line.startswith("sdlint: drops ")]
+        assert len(added) == 1 and added[0].startswith("sdlint: adds SD301 repro/sneaky.py ")
+        assert dropped == ["sdlint: drops SD301 repro/gone.py stale"]
+
     def test_partition_roundtrip(self, tmp_path):
         findings = [
             make_finding("SD301", "a.py", 3, "one"),

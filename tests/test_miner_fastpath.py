@@ -1,5 +1,5 @@
-"""Byte-oriented fast-path tests: chunk partitioning, two-phase
-scanning, and byte-identity against the regex reader.
+"""Byte-oriented fast-path tests: chunk partitioning, the bulk chunk
+classifier, and byte-identity against the regex reader.
 
 The contract under test is exactness: for any directory corpus —
 including garbled bytes, drifted timestamps, duplicates, rotation
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,10 +25,17 @@ from repro.core.parser import (
     AUTO_SERIAL_THRESHOLD_LINES,
     LogMiner,
     _gate_kind,
+    _quiet_lines,
+    _record_event,
     resolve_jobs,
 )
 from repro.logsys.diagnostics import StreamDiagnostics
-from repro.logsys.record import LogRecord
+from repro.logsys.record import (
+    LogRecord,
+    clean_fields,
+    clean_timestamps,
+    parse_timestamp,
+)
 from repro.logsys.store import LogStore, iter_file_lines, partition_file, read_chunk
 
 RM = "hadoop-resourcemanager"
@@ -38,6 +46,41 @@ EXEC = "container_1515715200000_0001_01_000002"
 #: handful of log lines already exercises lines straddling partition
 #: points, chunks with no parsed record, and multi-chunk merges.
 TINY = dict(split_threshold=64, chunk_target=48)
+
+
+#: Line shapes the chunk classifier must read exactly as the reference
+#: reader does: events and chatter, near misses, odd heads and endings,
+#: non-ASCII and invalid bytes, drifted and aliased timestamps.
+LINE_SHAPES = (
+    b"2018-01-12 00:00:01,000 INFO x.RMAppImpl: application_1_1000 State change from NEW to SUBMITTED on event = START",
+    b"2018-01-12 00:00:01,000 INFO x.RMContainerImpl: container_1_1000_01_000002 Container Transitioned from NEW to ALLOCATED",
+    b"2018-01-12 00:00:01,000 INFO x.ContainerImpl: Container container_1_1000_01_000002 transitioned from NEW to LOCALIZING",
+    b"2018-01-12 00:00:02,000 INFO x.Exec: Registered ApplicationMaster for application_1_1000",
+    b"2018-01-12 00:00:02,000 INFO x.Exec: SDCHECKER START_ALLO Will request 4 executor container(s) for application_1_1000",
+    b"2018-01-12 00:00:02,000 INFO x.Exec: Got assigned task 3",
+    b"2018-01-12 00:00:02,000 INFO x.Exec: Got assigned task 3",  # dup fodder
+    b"2018-01-12 00:00:02,000 INFO x.Exec: Got assigned task slot on host node02",
+    b"2018-01-12 00:00:02,000 INFO x.Exec: Got assigned task 4\r",  # \r\n: no match
+    b"2018-01-12 00:00:02,000 INFO x.Exec: Task attempt_1_1000_m_000001_0 is done",
+    b"2018-01-12 00:00:01,500 INFO x.Exec: chatter",
+    b"2018-01-12 00:00:01,500 INFO  x.Exec: chatter",  # the same record again
+    b"2018-01-12 00:00:01,500 INFO   x.Exec: chatter",
+    b"2018-01-12 00:00:01,500 INFO x.Exec: crlf ending\r",
+    b"2018-01-12 00:00:01,500 INFO x.Exec: ",  # empty message
+    b"2018-01-12 00:00:01,500 VERYLOUDX x.Exec: nine-letter level",
+    b"2018-01-12 00:00:01,500 INFO\tx.Exec: tab in the head",
+    b"2018-01-12 00:00:01,500 INFO x:Exec: colon in the class",
+    b"2018-01-12 00:00:03,000 INFO x.Cls: caf\xc3\xa9 \xc3\xbcn\xc3\xafcode",
+    b"2018-01-12 00:00:03,000 INFO x.Cls: bad \xff bytes",
+    b"2018-01-12 00:00:03,000 INFO x.Cl\xc3\xa9: unicode class",
+    b"2018-01-12 00:00:0\xd9\xa3,000 INFO x.Cls: unicode digit",
+    b"2018-02-01 00:00:00,000 INFO x.Cls: drifted",
+    b"2018-01-12 25:00:00,000 INFO x.Cls: hour alias",
+    b"2018-01-13 01:00:00,000 INFO x.Cls: hour alias",  # the same instant
+    b"2018-01-12 00:00:60,000 INFO x.Cls: second alias",
+    b"stack trace noise",
+    b"",
+)
 
 
 def _diag_dict(diagnostics):
@@ -322,22 +365,9 @@ class TestFastPathIdentity:
         assert not diag.streams["unknown-daemon"].recognized
         assert diag.streams[EXEC].lines_total == 0
 
-    LINE_POOL = (
-        "2018-01-12 00:00:01,000 INFO x.RMAppImpl: application_1_1000 State change from NEW to SUBMITTED on event = START",
-        "2018-01-12 00:00:02,000 INFO x.Exec: Got assigned task 3",
-        "2018-01-12 00:00:02,000 INFO x.Exec: Got assigned task 3",  # dup fodder
-        "2018-01-12 00:00:01,500 INFO x.Exec: chatter",
-        "2018-02-01 00:00:00,000 INFO x.Cls: drifted",
-        "2018-01-12 25:00:00,000 INFO x.Cls: hour alias",
-        "stack trace noise",
-        "",
-        "2018-01-12 00:00:03,000 INFO x.Cls: café ünïcode",
-        "2018-01-12 00:00:0٣,000 INFO x.Cls: unicode digit",
-    )
-
     @settings(max_examples=60, deadline=None)
     @given(
-        picks=st.lists(st.integers(0, len(LINE_POOL) - 1), max_size=25),
+        picks=st.lists(st.integers(0, len(LINE_SHAPES) - 1), max_size=25),
         daemon=st.sampled_from([RM, NM, EXEC, "weird-daemon"]),
         terminated=st.booleans(),
     )
@@ -345,9 +375,90 @@ class TestFastPathIdentity:
         self, tmp_path_factory, picks, daemon, terminated
     ):
         tmp_path = tmp_path_factory.mktemp("soup")
-        lines = [self.LINE_POOL[i] for i in picks]
-        _write(tmp_path, f"{daemon}.log", lines, newline=terminated)
+        body = b"\n".join(LINE_SHAPES[i] for i in picks)
+        if terminated and picks:
+            body += b"\n"
+        (tmp_path / f"{daemon}.log").write_bytes(body)
         _assert_identical(tmp_path)
+
+
+class TestChunkClassifier:
+    """The bulk classifier's quiet lines read exactly as the reference's."""
+
+    @staticmethod
+    def _reference_ts(line: str) -> float:
+        return parse_timestamp(line[:10], line[11:19], line[20:23])
+
+    def test_every_day_and_millisecond_is_bit_identical(self):
+        # Every DD and SSS value meets every other; HH, MM and SS run
+        # through all their values too.
+        lines = [
+            f"2018-01-{day:02d} {(7 * millis + day) % 100:02d}:{millis % 100:02d}:"
+            f"{(day + millis) % 100:02d},{millis:03d} INFO x.C: m"
+            for day in range(100)
+            for millis in range(1000)
+        ]
+        buf = "\n".join(lines).encode("ascii")
+        view, starts, _ends, quiet = _quiet_lines(buf, None)
+        assert quiet.all()
+        stamps = clean_timestamps(view, starts).tolist()
+        for line, value in zip(lines, stamps):
+            assert float.hex(value) == float.hex(self._reference_ts(line))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 99),
+                st.integers(0, 99),
+                st.integers(0, 99),
+                st.integers(0, 99),
+                st.integers(0, 999),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_timestamps_are_bit_identical(self, fields):
+        lines = [
+            f"2018-01-{d:02d} {h:02d}:{m:02d}:{s:02d},{ms:03d} INFO x.C: m"
+            for d, h, m, s, ms in fields
+        ]
+        buf = "\n".join(lines).encode("ascii")
+        view, starts, _ends, quiet = _quiet_lines(buf, None)
+        assert quiet.all()
+        for line, value in zip(lines, clean_timestamps(view, starts).tolist()):
+            assert float.hex(value) == float.hex(self._reference_ts(line))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, len(LINE_SHAPES) - 1), max_size=30),
+        gate=st.sampled_from([None, "rm", "nm", "container"]),
+        terminated=st.booleans(),
+    )
+    def test_quiet_lines_parse_to_the_same_record(self, picks, gate, terminated):
+        buf = b"\n".join(LINE_SHAPES[i] for i in picks)
+        if terminated and picks:
+            buf += b"\n"
+        view, starts, ends, quiet = _quiet_lines(buf, gate)
+        assert [buf[s:e] for s, e in zip(starts.tolist(), ends.tolist())] == _byte_lines(buf)
+        lines = np.flatnonzero(quiet).tolist()
+        stamps = clean_timestamps(view, starts[quiet]).tolist()
+        for line, ts in zip(lines, stamps):
+            start, end = int(starts[line]), int(ends[line])
+            record, _outcome = LogRecord.classify_parse(buf[start:end].decode("utf-8"))
+            level, cls, message = clean_fields(buf, start, end)
+            assert record is not None
+            assert float.hex(ts) == float.hex(record.timestamp)
+            assert (record.level, record.cls, record.message) == (level, cls, message)
+            # A quiet line never yields an event.
+            assert _record_event(EXEC, gate, "application_1_1000", ts, cls, message) is None
+
+    def test_chatter_is_quiet_and_events_are_not(self):
+        picks = [10, 11, 12, 13, 14, 7, 8, 5, 9, 3, 4]
+        buf = b"".join(LINE_SHAPES[i] + b"\n" for i in picks)
+        quiet = _quiet_lines(buf, "container")[3].tolist()
+        assert quiet == [True] * 7 + [False] * 4
 
 
 class TestTwoWorkers:

@@ -8,6 +8,10 @@ on exactly the log shapes the rest of the suite analyzes.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -83,6 +87,51 @@ class TestParallelEquivalence:
         assert [a.total_delay for a in serial.apps] == [
             a.total_delay for a in parallel.apps
         ]
+
+
+class TestWorkerPool:
+    """A miner keeps one worker pool across calls; no worker outlives it."""
+
+    @staticmethod
+    def _children():
+        return {child.pid for child in multiprocessing.active_children()}
+
+    def test_pool_is_kept_across_calls_and_joined_on_close(self, corpus_dir):
+        before = self._children()
+        miner = LogMiner()
+        events, _ = miner.mine(corpus_dir, jobs=2)
+        workers = self._children() - before
+        assert workers
+        assert miner.mine(corpus_dir, jobs=2)[0] == events
+        assert self._children() - before == workers
+        miner.close()
+        assert not self._children() & workers
+        # A closed miner still mines, on a new pool.
+        assert miner.mine(corpus_dir, jobs=2)[0] == events
+        miner.close()
+
+    def test_freeing_the_miner_joins_its_workers(self, corpus_dir):
+        before = self._children()
+        miner = LogMiner()
+        miner.mine(corpus_dir, jobs=2)
+        workers = self._children() - before
+        assert workers
+        del miner
+        assert not self._children() & workers
+
+    def test_a_killed_worker_is_replaced(self, corpus_dir):
+        before = self._children()
+        miner = LogMiner()
+        events, diagnostics = miner.mine(corpus_dir, jobs=2)
+        victim = min(self._children() - before)
+        os.kill(victim, signal.SIGKILL)
+        again, again_diagnostics = miner.mine(corpus_dir, jobs=2)
+        assert again == events
+        assert _diag_dict(again_diagnostics) == _diag_dict(diagnostics)
+        rebuilt = self._children() - before
+        assert rebuilt and victim not in rebuilt
+        del miner
+        assert not self._children() & rebuilt
 
 
 class TestStoreMinesInProcess:
