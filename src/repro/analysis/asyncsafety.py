@@ -7,7 +7,9 @@ poll-to-answer latency:
 
 * **SD401 blocking-in-async** — a blocking call (``time.sleep``, sync
   file/socket I/O, ``subprocess.run``, the miner entry points that do
-  file I/O) *reachable* from an ``async def`` body through any chain of
+  file I/O) *reachable* from an ``async def`` body, or from an asyncio
+  protocol callback (:data:`LOOP_CALLBACKS` on a ``BaseProtocol``
+  subclass, which the loop runs inline), through any chain of
   synchronous project calls.  One stalled callback stalls every
   connected client; the finding names the shortest call chain so the
   offending path is obvious five frames down.
@@ -41,7 +43,7 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.findings import Finding, make_finding, sort_findings
 
-__all__ = ["BLOCKING_CALLS", "TASK_SPAWNERS", "analyze"]
+__all__ = ["BLOCKING_CALLS", "LOOP_CALLBACKS", "TASK_SPAWNERS", "analyze"]
 
 #: Canonical dotted names whose call blocks the calling thread.  The
 #: bare names (``open``) are how the resolver reports unshadowed
@@ -77,6 +79,32 @@ BLOCKING_CALLS = frozenset(
     }
 )
 
+#: Protocol methods the event loop calls on its own thread.
+LOOP_CALLBACKS = frozenset(
+    {
+        "connection_made",
+        "get_buffer",
+        "buffer_updated",
+        "data_received",
+        "eof_received",
+        "connection_lost",
+        "pause_writing",
+        "resume_writing",
+    }
+)
+
+_PROTOCOL_BASES = frozenset(
+    f"{module}.{name}"
+    for module in ("asyncio", "asyncio.protocols")
+    for name in (
+        "BaseProtocol",
+        "Protocol",
+        "BufferedProtocol",
+        "DatagramProtocol",
+        "SubprocessProtocol",
+    )
+)
+
 #: Calls whose *return value* is a task handle that must be retained.
 TASK_SPAWNERS = frozenset({"asyncio.create_task", "asyncio.ensure_future"})
 
@@ -91,7 +119,21 @@ def _short(graph: CallGraph, qualname: str) -> str:
 
 # -- SD401 ----------------------------------------------------------------
 
-def _blocking_findings(graph: CallGraph, start: FunctionInfo) -> List[Finding]:
+def _loop_root(index: ProjectIndex, func: FunctionInfo) -> Optional[str]:
+    """How ``func`` runs on the event loop, or None if it need not."""
+    if func.is_async:
+        return "async def"
+    if func.cls is None or func.node.name not in LOOP_CALLBACKS:
+        return None
+    for cls_info in index.mro(func.cls):
+        if any(base in _PROTOCOL_BASES for base in cls_info.bases):
+            return "event-loop callback"
+    return None
+
+
+def _blocking_findings(
+    graph: CallGraph, start: FunctionInfo, root: str
+) -> List[Finding]:
     parents = graph.reachable(start.qualname, through_async=False)
     #: blocking name -> (chain length, chain, holder qualname, anchor line)
     best: Dict[str, Tuple[int, List[str], str, int]] = {}
@@ -118,14 +160,14 @@ def _blocking_findings(graph: CallGraph, start: FunctionInfo) -> List[Finding]:
         _length, chain, holder, anchor = best[external]
         if holder == start.qualname:
             message = (
-                f"blocking call {external}() inside async def "
+                f"blocking call {external}() inside {root} "
                 f"{start.short_name} stalls the event loop; move it to an "
                 f"executor or use the asyncio equivalent"
             )
         else:
             via = " -> ".join(_short(graph, q) for q in chain[1:])
             message = (
-                f"blocking call {external}() is reachable from async def "
+                f"blocking call {external}() is reachable from {root} "
                 f"{start.short_name} via {via}; it stalls the event loop "
                 f"for every connected client"
             )
@@ -269,8 +311,9 @@ def analyze(index: ProjectIndex) -> List[Finding]:
     seen: Set[str] = set()
     for qualname in sorted(index.functions):
         func = index.functions[qualname]
-        if func.is_async:
-            findings.extend(_blocking_findings(graph, func))
+        root = _loop_root(index, func)
+        if root is not None:
+            findings.extend(_blocking_findings(graph, func, root))
         findings.extend(_unawaited_findings(graph, func))
         findings.extend(_queue_findings(index, func))
     unique = [f for f in findings if f.key not in seen and not seen.add(f.key)]

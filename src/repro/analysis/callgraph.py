@@ -21,6 +21,8 @@ answers all of them from one index, built statically in two layers:
   where the attribute type is pinned by an ``__init__`` annotation or
   constructor call, locals assigned from known constructors or from
   calls with annotated return types, and ``with Cls() as name`` blocks.
+  A call that resolves to an abstract method (its body only raises
+  ``NotImplementedError``) also reaches every project override of it.
   :meth:`CallGraph.reachable` returns shortest-path parent pointers, so
   a finding can *name the path* from an async body to the ``open()``
   five frames down.  :attr:`ProjectIndex.call_graph` builds it once per
@@ -140,6 +142,27 @@ class FunctionInfo:
     def bound(self) -> Set[str]:
         """Every name the body binds (see :func:`local_bindings`)."""
         return local_bindings(self.node)
+
+    @cached_property
+    def is_abstract(self) -> bool:
+        """True for a method whose body, docstring aside, only raises
+        ``NotImplementedError``: a subclass provides the real one."""
+        body = self.node.body
+        if (
+            body
+            and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)
+        ):
+            body = body[1:]
+        if self.cls is None or len(body) != 1:
+            return False
+        if not isinstance(body[0], ast.Raise):
+            return False
+        raised = body[0].exc
+        if isinstance(raised, ast.Call):
+            raised = raised.func
+        return isinstance(raised, ast.Name) and raised.id == "NotImplementedError"
 
 
 @dataclass
@@ -532,6 +555,21 @@ class ProjectIndex:
                 return info.methods[name]
         return None
 
+    def overrides(self, method: str) -> List[str]:
+        """Every project method that overrides ``method``, sorted."""
+        func = self.functions.get(method)
+        if func is None or func.cls is None:
+            return []
+        name = func.node.name
+        found: List[str] = []
+        for cls_info in self.classes.values():
+            if cls_info.qualname == func.cls or name not in cls_info.methods:
+                continue
+            bases = self.mro(cls_info.qualname)
+            if any(base.qualname == func.cls for base in bases):
+                found.append(cls_info.methods[name])
+        return sorted(found)
+
     def lookup_attr_type(self, cls: str, name: str) -> Optional[str]:
         for info in self.mro(cls):
             if name in info.attr_types:
@@ -868,6 +906,9 @@ class CallGraph:
             kind, name = target
             if kind == "project":
                 func.calls.append((name, node.lineno))
+                if self.index.functions[name].is_abstract:
+                    for override in self.index.overrides(name):
+                        func.calls.append((override, node.lineno))
             elif kind == "class":
                 init = self.index.lookup_method(name, "__init__")
                 if init is not None:

@@ -21,16 +21,31 @@ The protocol lives once, in :class:`JsonLineServer`: framing,
 backpressure, the op table (:data:`OPS`), request validation, every
 protocol error and the response envelope.  The single server and the
 sharded router (:mod:`repro.live.router`) differ only in how they
-compute an op's result: each provides a ``metrics`` registry and an
-async ``_dispatch(op, app_id)`` returning that result.  Both run on a
-background thread through :func:`run_in_thread`.
+compute an op's result: each provides a ``metrics`` registry and a
+``_dispatch(op, app_id)`` returning that result.  ``LiveServer``
+answers synchronously; the router's ``_dispatch`` is a coroutine (its
+shard fan-out).  Both run on a background thread through
+:func:`run_in_thread`.
 
-**Backpressure**: responses are never written directly from the read
-loop.  Each connection owns a bounded :class:`asyncio.Queue` drained by
-a dedicated writer task; when a consumer reads slower than it queries
-and the queue fills, the connection is *dropped* (and counted in
+**Connections**: each is one :class:`asyncio.BufferedProtocol`.  It
+reads into one reused buffer, frames request lines, answers each one
+from the read callback and writes the response straight to the
+transport; no connection owns a queue, a stream or a long-lived task.
+An awaitable answer (the router's) runs as a task that holds back the
+connection's later lines, with reading paused, until it resolves, so
+every connection is answered in request order.  A request line is at most
+:data:`MAX_LINE` bytes: a longer one is answered as malformed and
+closes the connection, and bytes left without a newline when the
+client closes its side are answered as malformed too.  The response
+line of an ``apps`` or ``decomposition`` answer is encoded once and
+reused for as long as ``_dispatch`` returns the same object, which a
+session does until its next change.
+
+**Backpressure**: when a consumer stops reading, its transport pauses
+writing; a connection that would then write more than ``queue_depth``
+further responses is *dropped* (and counted in
 ``repro_live_slow_consumer_disconnects_total``) rather than letting one
-slow client grow unbounded buffers or stall the poll loop.
+slow client grow unbounded buffers.
 
 **Counting**: every received request line increments
 ``repro_live_queries_total`` — including ones that fail to parse, which
@@ -47,10 +62,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import inspect
 import json
 import logging
 import threading
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Awaitable, Callable, Dict, Optional, Set, Tuple, Union
 
 from repro.live.client import OPS
 from repro.live.incremental import LiveSession
@@ -66,18 +82,31 @@ __all__ = [
     "serve_in_thread",
 ]
 
-#: Responses a connection may have in flight before it is considered a
-#: slow consumer and disconnected.
+#: Responses a connection may still write once its transport has paused
+#: writing (the peer is not reading) before it is dropped as a slow
+#: consumer.
 DEFAULT_QUEUE_DEPTH = 64
 
-#: Upper bound on waiting for a connection's response queue to drain.
-#: If the writer task died (e.g. the peer reset the connection) with
-#: items still queued, ``queue.join()`` would otherwise wait forever.
+#: Upper bound on waiting, at close, for connections to flush what was
+#: written to them; a peer that stopped reading would hold it forever.
 DRAIN_TIMEOUT = 5.0
+
+#: Longest request line, newline excluded: asyncio streams' default
+#: ``readline`` limit, which bounded a request line before.
+MAX_LINE = 1 << 16
+
+#: Bytes each connection reads at a time, into one buffer it reuses.
+READ_SIZE = 1 << 16
+
+#: Ops whose result a session builds once per revision, so their
+#: encoded response line is reused while the result object is.
+_REUSED_OPS = ("apps", "decomposition")
 
 #: Ops that read the session's mined data; after a failed poll or
 #: drain they answer with its error instead of a stale or empty answer.
 _DATA_OPS = ("apps", "decomposition", "diagnostics", "state", "drain")
+
+_NOT_ONE_JSON_OBJECT = "malformed request: expected one JSON object per line"
 
 _log = logging.getLogger("repro.live")
 
@@ -86,8 +115,139 @@ class RequestError(RuntimeError):
     """Raised by ``_dispatch``: answer ``ok: false`` with this message."""
 
 
-def _error(op: Any, message: str) -> dict:
-    return {"ok": False, "op": op, "error": message}
+def _line(envelope: dict) -> bytes:
+    return json.dumps(envelope).encode("utf-8") + b"\n"
+
+
+def _error(op: Any, message: str) -> bytes:
+    return _line({"ok": False, "op": op, "error": message})
+
+
+class _Connection(asyncio.BufferedProtocol):
+    """One client connection: frames request lines and answers each inline."""
+
+    def __init__(self, server: "JsonLineServer"):
+        self._server = server
+        self._buffer = bytearray(READ_SIZE)
+        self._view = memoryview(self._buffer)
+        #: Bytes read after the last complete line.
+        self._pending = bytearray()
+        self._transport: Optional[asyncio.Transport] = None
+        #: The awaitable answer in flight; later lines wait behind it.
+        self._held: Optional[asyncio.Future] = None
+        #: Responses written since the transport paused writing; None
+        #: while it writes.
+        self._backlog: Optional[int] = None
+        #: Resolved once the transport has closed.
+        self.closed: Optional[asyncio.Future] = None
+
+    # -- transport callbacks -----------------------------------------------
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        self.closed = asyncio.get_running_loop().create_future()
+        self._server._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._server._connections.discard(self)
+        self.closed.set_result(None)
+
+    def get_buffer(self, sizehint: int) -> bytearray:
+        return self._buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._pending += self._view[:nbytes]
+        self._answer_lines()
+
+    def eof_received(self) -> bool:
+        # Reading pauses while an answer is held, so every complete line
+        # has been answered by now.
+        if self._pending:
+            self._write(self._server._reject())
+        return False  # close once the answers have flushed
+
+    def pause_writing(self) -> None:
+        self._backlog = 0
+
+    def resume_writing(self) -> None:
+        self._backlog = None
+
+    # -- answering ---------------------------------------------------------
+    def _answer_lines(self) -> None:
+        """Answer every complete buffered line in order, until one is held."""
+        pending = self._pending
+        transport = self._transport
+        start = 0
+        while self._held is None and not transport.is_closing():
+            end = pending.find(b"\n", start)
+            if end < 0:
+                if len(pending) - start > MAX_LINE:
+                    self._reject_long_line()
+                break
+            if end - start > MAX_LINE:
+                self._reject_long_line()
+                break
+            response = self._server._respond(pending[start:end])
+            start = end + 1
+            if isinstance(response, bytes):
+                self._write(response)
+            else:
+                self._hold(response)
+        del pending[:start]
+
+    def _reject_long_line(self) -> None:
+        self._write(self._server._reject())
+        self._transport.close()
+
+    def _hold(self, response: Awaitable[bytes]) -> None:
+        self._held = held = asyncio.ensure_future(response)
+        self._transport.pause_reading()
+        held.add_done_callback(self._release)
+
+    def _release(self, held: asyncio.Future) -> None:
+        self._held = None
+        if held.cancelled():  # the loop is shutting down
+            return
+        exc = held.exception()
+        if exc is not None:
+            asyncio.get_running_loop().call_exception_handler(
+                {
+                    "message": "answering a request failed",
+                    "exception": exc,
+                    "protocol": self,
+                    "transport": self._transport,
+                }
+            )
+            self._transport.abort()
+            return
+        if self._transport.is_closing():
+            return
+        self._write(held.result())
+        self._transport.resume_reading()
+        self._answer_lines()
+
+    def _write(self, line: bytes) -> None:
+        server = self._server
+        if self._backlog is not None:
+            self._backlog += 1
+            if self._backlog > server.queue_depth:
+                # Slow consumer: drop the connection rather than buffer
+                # without bound.
+                server.metrics.counter(
+                    "repro_live_slow_consumer_disconnects_total"
+                ).inc()
+                self._transport.abort()
+                return
+        self._transport.write(line)
+        if server.stopping:
+            self._transport.close()
+            server.request_shutdown()
+
+    # -- lifecycle ---------------------------------------------------------
+    def close(self) -> None:
+        self._transport.close()
+
+    def abort(self) -> None:
+        self._transport.abort()
 
 
 class JsonLineServer:
@@ -109,8 +269,14 @@ class JsonLineServer:
         self.queue_depth = queue_depth
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown: Optional[asyncio.Event] = None
-        #: Open client connections and their handler tasks.
-        self._connections: Dict[asyncio.StreamWriter, asyncio.Task] = {}
+        #: Set by a ``shutdown`` answer; the connection that writes it
+        #: then closes and stops the server.
+        self.stopping = False
+        #: Open client connections.
+        self._connections: Set[_Connection] = set()
+        #: (op, app_id) -> (result, its response line), for the
+        #: :data:`_REUSED_OPS`; one revision's answers at a time.
+        self._encoded: Dict[Tuple[str, Any], Tuple[Any, bytes]] = {}
         #: The actually bound port (useful with ``port=0``).
         self.bound_port: Optional[int] = None
 
@@ -124,8 +290,8 @@ class JsonLineServer:
         if sanitizer.enabled():
             sanitizer.install_loop_monitor()
         self._shutdown = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.bound_port = self._server.sockets[0].getsockname()[1]
         await self._on_start()
@@ -144,117 +310,101 @@ class JsonLineServer:
         await self._close()
 
     def request_shutdown(self) -> None:
+        self.stopping = True
         if self._shutdown is not None:
             self._shutdown.set()
 
     async def _close(self) -> None:
         await self._on_close()
         self._server.close()
-        # Close open client connections so their handlers read EOF and
-        # return.  A handler still parked in readline() when the loop
-        # shuts down is cancelled instead, and asyncio's stream callback
-        # logs that cancellation as an error.
-        for writer in self._connections:
-            writer.close()
-        if self._connections:
+        # Closing a connection flushes what was written to it (a
+        # ``shutdown`` answer included) before its transport closes.
+        closing = list(self._connections)
+        for connection in closing:
+            connection.close()
+        if closing:
             await asyncio.wait(
-                list(self._connections.values()), timeout=DRAIN_TIMEOUT
+                [connection.closed for connection in closing],
+                timeout=DRAIN_TIMEOUT,
             )
+        for connection in list(self._connections):
+            connection.abort()  # its peer stopped reading
         await self._server.wait_closed()
 
-    # -- connections -------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections[writer] = asyncio.current_task()
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.queue_depth)
-        writer_task = asyncio.create_task(self._write_loop(queue, writer))
-        dropped = False
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                response = await self._dispatch_line(line)
-                try:
-                    queue.put_nowait(response)
-                except asyncio.QueueFull:
-                    # Slow consumer: drop the connection rather than
-                    # buffer without bound.
-                    self.metrics.counter(
-                        "repro_live_slow_consumer_disconnects_total"
-                    ).inc()
-                    dropped = True
-                    break
-                if response.get("op") == "shutdown" and response.get("ok"):
-                    # Let the response flush, then stop the server.
-                    with contextlib.suppress(asyncio.TimeoutError):
-                        await asyncio.wait_for(
-                            queue.join(), timeout=DRAIN_TIMEOUT
-                        )
-                    self.request_shutdown()
-                    break
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            # CancelledError included: at loop teardown the handler task
-            # is cancelled mid-cleanup, and an escaping cancellation here
-            # shows up as spurious "exception was never retrieved" noise.
-            if not dropped:
-                with contextlib.suppress(Exception, asyncio.CancelledError):
-                    await asyncio.wait_for(queue.join(), timeout=DRAIN_TIMEOUT)
-            writer_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await writer_task
-            writer.close()
-            with contextlib.suppress(Exception, asyncio.CancelledError):
-                await writer.wait_closed()
-            self._connections.pop(writer, None)
-
-    async def _write_loop(
-        self, queue: asyncio.Queue, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            response = await queue.get()
-            try:
-                writer.write(json.dumps(response).encode("utf-8") + b"\n")
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                return
-            finally:
-                queue.task_done()
-
-    # -- dispatch ----------------------------------------------------------
-    async def _dispatch_line(self, raw: bytes) -> dict:
+    # -- answering ---------------------------------------------------------
+    def _respond(self, raw: bytearray) -> Union[bytes, Awaitable[bytes]]:
+        """The response line to one request line, or an awaitable of it."""
         # Counted before parsing: the counter answers "how many request
         # lines arrived", not "how many parsed".
         self.metrics.counter("repro_live_queries_total").inc()
         try:
             request = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
-            self.metrics.counter("repro_live_malformed_requests_total").inc()
-            return _error(
-                None, "malformed request: expected one JSON object per line"
-            )
+            return self._malformed(_NOT_ONE_JSON_OBJECT)
         if not isinstance(request, dict):
-            self.metrics.counter("repro_live_malformed_requests_total").inc()
-            return _error(None, "malformed request: expected a JSON object")
+            return self._malformed("malformed request: expected a JSON object")
         op = request.get("op")
         if op not in OPS:
             return _error(op, f"unknown op {op!r} (expected {', '.join(OPS)})")
         app_id = request.get("app_id")
-        if op == "decomposition" and not app_id:
-            return _error(op, "decomposition requires an app_id")
+        if op == "decomposition":
+            if not app_id:
+                return _error(op, "decomposition requires an app_id")
+            if isinstance(app_id, (list, dict)):  # no app has this id
+                return _error(op, f"unknown application {app_id!r}")
         try:
-            result = await self._dispatch(op, app_id)
+            result = self._dispatch(op, app_id)
         except RequestError as exc:
             return _error(op, str(exc))
+        if inspect.isawaitable(result):
+            return self._respond_later(op, app_id, result)
+        return self._answer(op, app_id, result)
+
+    async def _respond_later(
+        self, op: str, app_id: Any, pending: Awaitable[Any]
+    ) -> bytes:
+        try:
+            result = await pending
+        except RequestError as exc:
+            return _error(op, str(exc))
+        return self._answer(op, app_id, result)
+
+    def _malformed(self, message: str) -> bytes:
+        self.metrics.counter("repro_live_malformed_requests_total").inc()
+        return _error(None, message)
+
+    def _reject(self) -> bytes:
+        """The answer to bytes that frame no request line.
+
+        A line longer than :data:`MAX_LINE`, or a tail without a newline
+        when the client closes its side: counted as a query and as a
+        malformed one.
+        """
+        self.metrics.counter("repro_live_queries_total").inc()
+        return self._malformed(_NOT_ONE_JSON_OBJECT)
+
+    def _answer(self, op: str, app_id: Any, result: Any) -> bytes:
+        """The response line of an op's result."""
         if op == "decomposition" and result is None:
             return _error(op, f"unknown application {app_id!r}")
-        return {"ok": True, "op": op, "result": result}
+        if op == "shutdown":
+            self.stopping = True
+        if op not in _REUSED_OPS:
+            return _line({"ok": True, "op": op, "result": result})
+        key = (op, app_id if op == "decomposition" else None)
+        cached = self._encoded.get(key)
+        if cached is not None:
+            if cached[0] is result:
+                return cached[1]
+            # A new object: the session has changed, so every line held
+            # here answers an older revision.
+            self._encoded.clear()
+        line = _line({"ok": True, "op": op, "result": result})
+        self._encoded[key] = (result, line)
+        return line
 
-    async def _dispatch(self, op: str, app_id: Any) -> Any:
-        """The result of one op from :data:`OPS`.
+    def _dispatch(self, op: str, app_id: Any) -> Any:
+        """The result of one op from :data:`OPS`, or an awaitable of it.
 
         ``app_id`` is the request's (set for ``decomposition``); a
         ``decomposition`` result of ``None`` means the app is unknown.
@@ -323,7 +473,7 @@ class LiveServer(JsonLineServer):
                 continue
 
     # -- dispatch ----------------------------------------------------------
-    async def _dispatch(self, op: str, app_id: Any) -> Any:
+    def _dispatch(self, op: str, app_id: Any) -> Any:
         if self._poll_error is not None and op in _DATA_OPS:
             raise RequestError(f"poll failed: {self._poll_error}")
         if op == "apps":
@@ -347,8 +497,8 @@ class LiveServer(JsonLineServer):
                 self._stop_serving_data(exc)
                 raise RequestError(f"poll failed: {exc}") from exc
             return self.session.state_payload()
-        # shutdown: the connection handler stops the server once this
-        # answer has flushed.
+        # shutdown: the connection that writes this answer stops the
+        # server, which flushes it before closing.
         return "shutting down"
 
 

@@ -138,6 +138,112 @@ class TestSD401Blocking:
         )
 
 
+_PROTOCOL = (
+    "import asyncio\n"
+    "import time\n"
+    "class Conn(asyncio.BufferedProtocol):\n"
+    "    def get_buffer(self, hint):\n"
+    "        return bytearray(1)\n"
+    "    def buffer_updated(self, n):\n"
+    "        self._answer()\n"
+    "    def _answer(self):\n"
+    "        time.sleep(1)\n"
+)
+
+
+class TestSD401ProtocolCallbacks:
+    """The loop runs a protocol's callbacks inline, like an async body."""
+
+    def test_a_callback_reaching_a_blocking_call_fires(self):
+        findings = scan({"repro/srv.py": _PROTOCOL})
+        assert [f.rule for f in findings] == ["SD401"]
+        assert findings[0].message.startswith(
+            "blocking call time.sleep() is reachable from event-loop "
+            "callback Conn.buffer_updated via Conn._answer;"
+        )
+
+    def test_a_blocking_call_inside_a_callback_fires(self):
+        findings = scan(
+            {
+                "repro/srv.py": (
+                    "from asyncio import Protocol\n"
+                    "class Conn(Protocol):\n"
+                    "    def data_received(self, data):\n"
+                    "        open('x')\n"
+                )
+            }
+        )
+        assert [f.message.split(" stalls")[0] for f in findings] == [
+            "blocking call open() inside event-loop callback Conn.data_received"
+        ]
+
+    def test_a_subclass_of_a_project_protocol_is_a_protocol(self):
+        findings = scan(
+            {
+                "repro/base.py": "import asyncio\nclass Base(asyncio.Protocol):\n    pass\n",
+                "repro/srv.py": (
+                    "import time\n"
+                    "from repro.base import Base\n"
+                    "class Conn(Base):\n"
+                    "    def eof_received(self):\n"
+                    "        time.sleep(1)\n"
+                ),
+            }
+        )
+        assert [f.rule for f in findings] == ["SD401"]
+
+    def test_callback_names_elsewhere_are_not_roots(self):
+        # Not a protocol, and a protocol method the loop never calls.
+        assert rules_of(
+            {
+                "repro/srv.py": _PROTOCOL.replace(
+                    "asyncio.BufferedProtocol", "object"
+                )
+            }
+        ) == []
+        assert rules_of(
+            {"repro/srv.py": _PROTOCOL.replace("buffer_updated", "feed")}
+        ) == []
+
+
+_ABSTRACT = (
+    "import asyncio\n"
+    "import time\n"
+    "class Server:\n"
+    "    def respond(self):\n"
+    "        return self._dispatch()\n"
+    "    def _dispatch(self):\n"
+    "        \"\"\"The answer.\"\"\"\n"
+    "        raise NotImplementedError\n"
+    "class Live(Server):\n"
+    "    def _dispatch(self):\n"
+    "        time.sleep(1)\n"
+    "async def serve(server: Server):\n"
+    "    return server.respond()\n"
+)
+
+
+class TestSD401AbstractDispatch:
+    """A call resolving to an abstract method reaches its overrides."""
+
+    def test_an_override_reached_through_the_abstract_method_fires(self):
+        findings = scan({"repro/srv.py": _ABSTRACT})
+        assert [f.rule for f in findings] == ["SD401"]
+        assert "from async def serve via Server.respond -> Live._dispatch;" in (
+            findings[0].message
+        )
+
+    def test_a_raise_with_arguments_is_abstract_too(self):
+        source = _ABSTRACT.replace(
+            "raise NotImplementedError\n", "raise NotImplementedError('x')\n"
+        )
+        assert rules_of({"repro/srv.py": source}) == ["SD401"]
+
+    def test_a_base_method_with_a_body_does_not_reach_overrides(self):
+        source = _ABSTRACT.replace("raise NotImplementedError\n", "return None\n")
+        assert rules_of({"repro/srv.py": source}) == []
+
+
 class TestSD402Unawaited:
     SOURCES = {
         "repro/c.py": (
@@ -257,9 +363,12 @@ class TestRealTree:
         findings = asyncsafety.analyze(src_index)
         assert [f.rule for f in findings] == ["SD401"] * 6
         assert {f.path for f in findings} == {"repro/live/server.py"}
-        for root in ("LiveServer._poll_loop", "LiveServer._dispatch"):
+        for root in (
+            "async def LiveServer._poll_loop",
+            "event-loop callback _Connection.buffer_updated",
+        ):
             for call in ("open", "os.open", "os.pread"):
-                needle = f"blocking call {call}() is reachable from async def {root} "
+                needle = f"blocking call {call}() is reachable from {root} "
                 assert sum(needle in f.message for f in findings) == 1
 
     def test_live_and_faults_have_no_other_async_findings(self, src_index):

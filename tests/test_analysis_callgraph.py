@@ -138,6 +138,44 @@ class TestCallEdges:
         assert "repro.y.inner" not in parents
         assert "repro.y.inner" in graph.reachable("repro.y.outer", through_async=True)
 
+    def test_a_call_to_an_abstract_method_reaches_its_overrides(self):
+        graph = graph_of(
+            {
+                "repro/base.py": (
+                    "class Base:\n"
+                    "    def run(self):\n"
+                    "        return self.step()\n"
+                    "    def step(self):\n"
+                    "        raise NotImplementedError\n"
+                    "    def done(self):\n"
+                    "        return True\n"
+                ),
+                "repro/impl.py": (
+                    "from repro.base import Base\n"
+                    "class A(Base):\n"
+                    "    def step(self):\n"
+                    "        return self.done()\n"
+                    "class B(A):\n"
+                    "    def step(self):\n"
+                    "        return 2\n"
+                    "    def done(self):\n"
+                    "        return False\n"
+                ),
+            }
+        )
+        functions = graph.index.functions
+        assert functions["repro.base.Base.step"].is_abstract
+        assert not functions["repro.impl.A.step"].is_abstract
+        assert [name for name, _ in functions["repro.base.Base.run"].calls] == [
+            "repro.base.Base.step",
+            "repro.impl.A.step",
+            "repro.impl.B.step",
+        ]
+        # Only an abstract callee fans out: A.step's own call stays put.
+        assert [name for name, _ in functions["repro.impl.A.step"].calls] == [
+            "repro.base.Base.done"
+        ]
+
     def test_nested_defs_are_separate_roots(self):
         graph = graph_of(
             {

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.live import LiveClient, LiveSession, QueryError, serve_in_thread
-from repro.live.server import LiveServer
+from repro.live.server import MAX_LINE, LiveServer, _Connection
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden"
@@ -280,54 +280,94 @@ class TestShardOps:
         assert "repro_live_ingest_lines_total" in text
 
 
-class _StalledWriter:
-    """A StreamWriter stand-in whose drain() never completes."""
+class _Transport(asyncio.Transport):
+    """An in-memory transport that records what a connection writes."""
 
-    def __init__(self):
-        self.closed = False
+    def __init__(self, protocol):
+        super().__init__()
+        self.protocol = protocol
+        self.written = []
+        self.closes = self.aborts = 0
+        self._closing = False
+        protocol.connection_made(self)
+
+    def feed(self, data: bytes) -> None:
+        """Deliver ``data`` as one read."""
+        buffer = self.protocol.get_buffer(-1)
+        buffer[: len(data)] = data
+        self.protocol.buffer_updated(len(data))
+
+    def lines(self):
+        return b"".join(self.written).splitlines()
 
     def write(self, data):
-        pass
+        self.written.append(bytes(data))
 
-    async def drain(self):
-        await asyncio.Event().wait()  # never set: the consumer is stuck
+    def is_closing(self):
+        return self._closing
 
     def close(self):
-        self.closed = True
+        self.closes += 1
+        self._lose()
 
-    async def wait_closed(self):
-        return None
+    def abort(self):
+        self.aborts += 1
+        self._lose()
+
+    def pause_reading(self):
+        pass
+
+    def resume_reading(self):
+        pass
+
+    def _lose(self):
+        if not self._closing:
+            self._closing = True
+            asyncio.get_running_loop().call_soon(
+                self.protocol.connection_lost, None
+            )
+
+
+def _polled_server(tmp_path, **options) -> LiveServer:
+    session = LiveSession(_golden_copy(tmp_path))
+    session.poll()
+    return LiveServer(session, poll=False, **options)
+
+
+def _drive(server: LiveServer, *reads: bytes, peer_reads: bool = True):
+    """Feed ``reads`` to one connection of ``server``; its transport."""
+
+    async def scenario():
+        transport = _Transport(_Connection(server))
+        if not peer_reads:
+            transport.protocol.pause_writing()
+        for data in reads:
+            transport.feed(data)
+        await asyncio.sleep(0)  # let a dropped connection report lost
+        return transport
+
+    return asyncio.run(scenario())
+
+
+def _counter(server: LiveServer, name: str) -> float:
+    return server.metrics.counter(name).value
 
 
 class TestBackpressure:
     def test_slow_consumer_is_disconnected(self, tmp_path):
-        """A consumer that never drains fills its bounded queue and is
-        dropped, counted in the slow-consumer metric."""
-        session = LiveSession(_golden_copy(tmp_path))
-        session.poll()
-        server = LiveServer(session, queue_depth=2, poll=False)
-
-        async def scenario():
-            reader = asyncio.StreamReader()
-            # Queue depth 2 plus the response stuck inside the write
-            # loop: the fourth pending response overflows.
-            for _ in range(6):
-                reader.feed_data(b'{"op": "apps"}\n')
-            reader.feed_eof()
-            writer = _StalledWriter()
-            await asyncio.wait_for(
-                server._handle_connection(reader, writer), timeout=5.0
-            )
-            return writer
-
-        writer = asyncio.run(scenario())
-        assert writer.closed
-        assert (
-            session.metrics.counter(
-                "repro_live_slow_consumer_disconnects_total"
-            ).value
-            == 1
+        """A consumer that stops reading pauses its transport's writing;
+        past queue_depth further responses it is dropped, counted in the
+        slow-consumer metric."""
+        server = _polled_server(tmp_path, queue_depth=2)
+        transport = _drive(
+            server, b'{"op": "apps"}\n' * 6, peer_reads=False
         )
+        assert transport.aborts == 1 and transport.closes == 0
+        # Two responses fit the depth; the third would overflow it.
+        assert len(transport.lines()) == 2
+        assert _counter(server, "repro_live_slow_consumer_disconnects_total") == 1
+        assert _counter(server, "repro_live_queries_total") == 3
+        assert server._connections == set()
 
     def test_fast_consumer_is_not_disconnected(self, tmp_path):
         session = LiveSession(_golden_copy(tmp_path))
@@ -346,6 +386,235 @@ class TestBackpressure:
             )
         finally:
             server.stop()
+
+    def test_a_pipelined_burst_is_answered_in_order(self, handle):
+        """A burst sent in one write, read promptly, is answered in full:
+        buffered requests are answered without yielding, and that alone
+        must not count as a slow consumer."""
+        requests = [
+            {"op": "apps"}
+            if i % 2 == 0
+            else {"op": "decomposition", "app_id": f"application_0_{i:04d}"}
+            for i in range(200)
+        ]
+        with socket.create_connection((handle.host, handle.port), timeout=5.0) as raw:
+            raw.sendall(b"".join(json.dumps(r).encode() + b"\n" for r in requests))
+            reader = raw.makefile("rb")
+            responses = [json.loads(reader.readline()) for _ in requests]
+            with LiveClient(handle.host, handle.port) as client:
+                metrics = client.metrics()
+        assert [r["op"] for r in responses] == [r["op"] for r in requests]
+        for request, response in zip(requests, responses):
+            if request["op"] == "apps":
+                assert response["ok"] is True
+            else:
+                assert response["error"] == (
+                    f"unknown application {request['app_id']!r}"
+                )
+        assert "repro_live_slow_consumer_disconnects_total 0" in metrics
+
+
+class TestFraming:
+    def test_a_request_split_across_two_reads_is_answered_once(self, tmp_path):
+        server = _polled_server(tmp_path)
+        transport = _drive(server, b'{"op": "ap', b'ps"}\n')
+        (line,) = transport.lines()
+        assert json.loads(line)["op"] == "apps"
+        assert _counter(server, "repro_live_queries_total") == 1
+
+    def test_two_requests_in_one_read_are_each_answered_once(self, tmp_path):
+        server = _polled_server(tmp_path)
+        transport = _drive(server, b'{"op": "apps"}\n{"op": "state"}\n')
+        assert [json.loads(line)["op"] for line in transport.lines()] == [
+            "apps",
+            "state",
+        ]
+        assert _counter(server, "repro_live_queries_total") == 2
+
+    def test_requests_pipelined_before_eof_are_answered_then_closed(
+        self, handle
+    ):
+        with socket.create_connection((handle.host, handle.port), timeout=5.0) as raw:
+            raw.sendall(b'{"op": "apps"}\n{"op": "diagnostics"}\n{"op": "apps"}\n')
+            raw.shutdown(socket.SHUT_WR)
+            lines = raw.makefile("rb").readlines()  # until the server closes
+        assert [json.loads(line)["op"] for line in lines] == [
+            "apps",
+            "diagnostics",
+            "apps",
+        ]
+
+    def test_a_tail_without_newline_at_eof_is_malformed(self, tmp_path):
+        server = _polled_server(tmp_path)
+
+        async def scenario():
+            transport = _Transport(_Connection(server))
+            transport.feed(b'{"op": "apps"}\n{"op": "apps"}')
+            keep_open = transport.protocol.eof_received()
+            return transport, keep_open
+
+        transport, keep_open = asyncio.run(scenario())
+        assert not keep_open
+        first, second = (json.loads(line) for line in transport.lines())
+        assert first["ok"] is True
+        assert second == {
+            "ok": False,
+            "op": None,
+            "error": "malformed request: expected one JSON object per line",
+        }
+        assert _counter(server, "repro_live_queries_total") == 2
+        assert _counter(server, "repro_live_malformed_requests_total") == 1
+
+    def test_an_over_long_line_is_counted_answered_and_closed(self, handle):
+        with socket.create_connection((handle.host, handle.port), timeout=5.0) as raw:
+            raw.sendall(b"x" * 100_000 + b"\n")
+            lines = raw.makefile("rb").readlines()  # until the server closes
+        assert [json.loads(line) for line in lines] == [
+            {
+                "ok": False,
+                "op": None,
+                "error": "malformed request: expected one JSON object per line",
+            }
+        ]
+        with LiveClient(handle.host, handle.port) as client:
+            text = client.metrics()
+        # The over-long line and the metrics query itself.
+        assert "repro_live_queries_total 2" in text
+        assert "repro_live_malformed_requests_total 1" in text
+
+    def test_a_line_at_the_limit_is_parsed(self, tmp_path):
+        server = _polled_server(tmp_path)
+        request = b'{"op": "apps"}'
+        line = request + b" " * (MAX_LINE - len(request))
+        transport = _drive(server, line[: len(line) // 2], line[len(line) // 2 :] + b"\n")
+        (response,) = transport.lines()
+        assert json.loads(response)["ok"] is True
+        assert transport.closes == 0
+
+
+class TestResponses:
+    _OPS = [
+        {"op": "apps"},
+        {"op": "decomposition", "app_id": APP_ID},
+        {"op": "decomposition", "app_id": "application_0_0000"},
+        {"op": "diagnostics"},
+        {"op": "metrics_state"},
+        {"op": "state"},
+        {"op": "frobnicate"},
+    ]
+
+    def test_each_line_is_the_json_encoding_of_its_envelope(self, tmp_path):
+        server = _polled_server(tmp_path)
+        session = server.session
+        expected_results = {
+            "apps": session.apps_payload(),
+            "decomposition": session.decomposition_payload(APP_ID),
+        }
+        # Twice each: the second apps/decomposition lines come from the
+        # encoding memo and must not differ from a fresh encoding.
+        payload = b"".join(json.dumps(r).encode() + b"\n" for r in self._OPS * 2)
+        transport = _drive(server, payload)
+        lines = transport.lines()
+        assert len(lines) == 2 * len(self._OPS)
+        for raw in lines:
+            envelope = json.loads(raw)
+            assert raw + b"\n" == (json.dumps(envelope) + "\n").encode("utf-8")
+            if envelope["ok"] and envelope["op"] in expected_results:
+                assert envelope == {
+                    "ok": True,
+                    "op": envelope["op"],
+                    "result": expected_results[envelope["op"]],
+                }
+        # The reused apps and decomposition lines repeat byte for byte.
+        half = len(self._OPS)
+        assert lines[:2] == lines[half : half + 2]
+
+    def test_an_app_finalized_by_a_poll_shows_in_the_next_answer(self, tmp_path):
+        logdir = _golden_copy(tmp_path)
+        rm_log = logdir / "hadoop-resourcemanager.log"
+        full = rm_log.read_bytes()
+        lines = full.splitlines(keepends=True)
+        cut = next(i for i, line in enumerate(lines) if b"to FINAL_SAVING" in line)
+        rm_log.write_bytes(b"".join(lines[:cut]))
+        session = LiveSession(logdir)
+        session.poll()
+        server = LiveServer(session, poll=False)
+        apps = b'{"op": "apps"}'
+        decomposition = json.dumps({"op": "decomposition", "app_id": APP_ID}).encode()
+
+        def statuses():
+            return [
+                json.loads(server._respond(apps))["result"][0]["status"],
+                json.loads(server._respond(decomposition))["result"]["status"],
+            ]
+
+        assert statuses() == ["provisional", "provisional"]
+        assert statuses() == ["provisional", "provisional"]  # from the memo
+        rm_log.write_bytes(full)
+        session.poll()
+        assert statuses() == ["final", "final"]
+
+    def test_only_apps_and_decomposition_lines_are_reused(self, tmp_path):
+        server = _polled_server(tmp_path)
+        for op in ("state", "drain", "diagnostics", "metrics", "metrics_state"):
+            first = server._respond(json.dumps({"op": op}).encode())
+            assert first is not server._respond(json.dumps({"op": op}).encode())
+        assert server._encoded == {}
+        server._respond(b'{"op": "apps"}')
+        server._respond(json.dumps({"op": "decomposition", "app_id": APP_ID}).encode())
+        assert sorted(op for op, _app in server._encoded) == [
+            "apps",
+            "decomposition",
+        ]
+        again = server._respond(b'{"op": "apps"}')
+        assert again is server._encoded[("apps", None)][1]
+
+    def test_a_sync_answer_creates_no_task(self, tmp_path):
+        server = _polled_server(tmp_path)
+
+        async def scenario():
+            await server.start()
+            before = asyncio.all_tasks()
+            reader, writer = await asyncio.open_connection(
+                server.host, server.bound_port
+            )
+            writer.write(b'{"op": "apps"}\n{"op": "metrics"}\n')
+            await writer.drain()
+            answers = [await reader.readline(), await reader.readline()]
+            after = asyncio.all_tasks()
+            writer.close()
+            await writer.wait_closed()
+            server.request_shutdown()
+            await server.serve_until_shutdown()
+            return before, after, answers
+
+        before, after, answers = asyncio.run(scenario())
+        assert after == before
+        assert [json.loads(a)["op"] for a in answers] == ["apps", "metrics"]
+
+    def test_the_shutdown_answer_is_flushed_before_the_server_stops(
+        self, tmp_path
+    ):
+        session = LiveSession(_golden_copy(tmp_path))
+        handle = serve_in_thread(session, poll_interval=0.01)
+        with socket.create_connection((handle.host, handle.port), timeout=5.0) as raw:
+            raw.sendall(b'{"op": "apps"}\n{"op": "shutdown"}\n{"op": "apps"}\n')
+            handle.wait(timeout=10.0)  # the server thread has exited
+            lines = raw.makefile("rb").readlines()
+        assert not handle._thread.is_alive()
+        # Lines after the shutdown request are not answered.
+        assert [json.loads(line)["op"] for line in lines] == ["apps", "shutdown"]
+        assert json.loads(lines[1])["result"] == "shutting down"
+
+    def test_a_list_app_id_is_an_unknown_application(self, handle):
+        with LiveClient(handle.host, handle.port) as client:
+            response = client.request("decomposition", app_id=[1])
+            assert client.apps()  # the connection survives
+        assert response == {
+            "ok": False,
+            "op": "decomposition",
+            "error": "unknown application [1]",
+        }
 
 
 class TestServedReportMatchesBatch:

@@ -155,6 +155,28 @@ class TestRouterAnswersLikeOneServer:
             assert routed["result"].pop("shards") == 1
         assert routed == direct
 
+    def test_pipelined_answers_keep_request_order(self, one_shard_and_its_router):
+        # The router answers an op through its shards (a coroutine) but a
+        # request check's error at once; a later line must still wait
+        # for the answer to an earlier one.
+        shard, router = one_shard_and_its_router
+        names = [
+            "apps",
+            "unknown-op",
+            "decomposition",
+            "non-json",
+            "decomposition-without-app-id",
+            "state",
+            "decomposition-unknown-app",
+            "non-object",
+        ]
+        expected = [_raw_response(shard, _LINES[name]) for name in names]
+        with socket.create_connection((router.host, router.port), timeout=5.0) as raw:
+            raw.sendall(b"".join(_LINES[name] for name in names))
+            reader = raw.makefile("rb")
+            routed = [json.loads(reader.readline()) for _ in names]
+        assert routed == expected
+
 
 class TestRouterErrors:
     def test_a_daemon_on_two_shards_fails_the_merge(self, tmp_path):

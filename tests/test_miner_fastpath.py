@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,6 +454,33 @@ class TestChunkClassifier:
             assert (record.level, record.cls, record.message) == (level, cls, message)
             # A quiet line never yields an event.
             assert _record_event(EXEC, gate, "application_1_1000", ts, cls, message) is None
+
+    def test_every_chunk_of_a_container_log_is_bit_identical(self):
+        # Chunks of every length from every starting line of a real
+        # container log (the live path feeds chunks of a few lines), and
+        # a shortest clean line that ends the buffer unterminated, whose
+        # digits are the last rows the kernel's strided gather can read.
+        golden = Path(__file__).resolve().parent / "data" / "golden"
+        lines = (golden / f"{EXEC}.log").read_bytes().splitlines(keepends=True)
+        chunks = [
+            b"".join(lines[first:last])
+            for first in range(len(lines))
+            for last in range(first + 1, len(lines) + 1)
+        ]
+        chunks.append(lines[0] + b"2018-01-31 23:59:59,999 INFO C: m")
+        for buf in chunks:
+            view, starts, ends, quiet = _quiet_lines(buf, "container")
+            stamps = clean_timestamps(view, starts[quiet]).tolist()
+            expected = [
+                LogRecord.classify_parse(buf[s:e].decode("utf-8"))[0].timestamp
+                for s, e in zip(starts[quiet].tolist(), ends[quiet].tolist())
+            ]
+            assert [float.hex(v) for v in stamps] == [float.hex(v) for v in expected]
+        assert quiet[-1] and ends[-1] == len(buf)
+
+    def test_no_clean_line_reads_no_timestamp(self):
+        view, starts, _ends, quiet = _quiet_lines(b"garbage\n", None)
+        assert clean_timestamps(view, starts[quiet]).tolist() == []
 
     def test_chatter_is_quiet_and_events_are_not(self):
         picks = [10, 11, 12, 13, 14, 7, 8, 5, 9, 3, 4]
