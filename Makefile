@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-miner bench-miner-large bench-live bench-calibrate bench-sim bench-paper examples fuzz-smoke live-smoke live-shard-smoke scenario-smoke calibrate-smoke lint sanitize clean
+.PHONY: install test bench bench-miner bench-miner-large bench-live bench-calibrate bench-sim bench-paper paper-claims examples fuzz-smoke live-smoke live-shard-smoke scenario-smoke calibrate-smoke lint sanitize clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -16,6 +16,20 @@ bench:
 
 bench-paper:
 	REPRO_SCALE=paper $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The paper's claims: every table/figure benchmark at small scale, each
+# asserting its shape claims, then a byte check that every regenerated
+# benchmarks/results file equals the committed one.  A change that moves
+# a figure row commits the new rows.
+PAPER_CLAIMS = $(addprefix benchmarks/,test_fig4_overall.py test_fig5_input_size.py \
+	test_fig6_executors.py test_fig7_schedulers.py test_fig8_localization.py \
+	test_fig9_launching.py test_fig11_inapp.py test_fig12_io_interference.py \
+	test_fig13_cpu_interference.py test_table2_throughput.py test_table3_summary.py \
+	test_optimizations.py test_ablations.py)
+
+paper-claims:
+	REPRO_SCALE=small PYTHONPATH=src $(PYTHON) -m pytest $(PAPER_CLAIMS) -q
+	git diff --exit-code benchmarks/results/
 
 # Miner throughput only (in-memory store vs directory, serial vs
 # parallel); appends a trajectory point to benchmarks/results/BENCH_miner.json.
@@ -81,11 +95,11 @@ fuzz-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.faults sweep tests/data/golden --seeds 5
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/scheduler_comparison.py --queries 20
-	$(PYTHON) examples/localization_study.py --queries 8
-	$(PYTHON) examples/interference_study.py --queries 25
-	$(PYTHON) examples/offline_analysis.py --queries 12
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/scheduler_comparison.py --queries 20
+	PYTHONPATH=src $(PYTHON) examples/localization_study.py --queries 8
+	PYTHONPATH=src $(PYTHON) examples/interference_study.py --queries 25
+	PYTHONPATH=src $(PYTHON) examples/offline_analysis.py --queries 12
 
 # sdlint: catalog coverage, state-machine structure, determinism,
 # async safety (SD4xx), and process-boundary safety (SD5xx), in one

@@ -12,12 +12,10 @@ import time
 from typing import List, Tuple
 
 from repro.core.checker import SDChecker
-from repro.experiments.harness import TraceScenario
-from repro.params import SimulationParams
 from repro.simul.engine import Simulator
 from repro.simul.resources import FairShareResource
 from repro.workloads.scenarios.presets import get_scenario
-from repro.workloads.scenarios.scenario import Scenario
+from repro.workloads.scenarios.scenario import Scenario, trace_recipe
 
 
 def test_event_loop_throughput(benchmark):
@@ -66,7 +64,7 @@ def test_trace_simulation_rate(benchmark):
 
     def run():
         t0 = time.perf_counter()
-        result = TraceScenario(n_queries=50, seed=99).run()
+        result = trace_recipe(50, seed=99).run()
         wall = time.perf_counter() - t0
         return len(result.report) / wall
 
@@ -77,7 +75,7 @@ def test_trace_simulation_rate(benchmark):
 
 def test_miner_throughput(benchmark):
     """SDchecker parse rate over a realistic log collection."""
-    bed = TraceScenario(n_queries=40, seed=98).run().testbed
+    bed = trace_recipe(40, seed=98).run().testbed
     lines = sum(len(bed.log_store.records(d)) for d in bed.log_store.daemons)
 
     def run():

@@ -15,13 +15,9 @@ Usage::
 """
 
 import argparse
-import functools
 
-from repro.experiments.harness import (
-    TraceScenario,
-    submit_dfsio_interference,
-    submit_kmeans_interference,
-)
+from repro.experiments.harness import DfsioLoad, KmeansLoad
+from repro.workloads.scenarios import trace_recipe
 
 COMPONENTS = (
     ("total", lambda r: r.sample("total_delay")),
@@ -41,20 +37,14 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=6)
     args = parser.parse_args()
 
-    base = TraceScenario(
-        n_queries=args.queries, seed=args.seed, mean_interarrival_s=3.0
-    )
+    base = trace_recipe(args.queries, seed=args.seed, mean_interarrival_s=3.0)
     runs = {
         "baseline": base,
         f"dfsIO x{args.dfsio_maps}": base.variant(
-            interference=functools.partial(
-                submit_dfsio_interference, num_maps=args.dfsio_maps
-            )
+            interference=DfsioLoad(args.dfsio_maps)
         ),
         f"Kmeans x{args.kmeans_apps}": base.variant(
-            interference=functools.partial(
-                submit_kmeans_interference, num_apps=args.kmeans_apps
-            )
+            interference=KmeansLoad(args.kmeans_apps)
         ),
     }
 

@@ -15,8 +15,8 @@ Usage::
 import argparse
 
 from repro.core.stats import DelaySample
-from repro.experiments.harness import TraceScenario
 from repro.params import GB
+from repro.workloads.scenarios import trace_recipe
 
 
 def main() -> None:
@@ -28,8 +28,8 @@ def main() -> None:
     print(f"{'extra files':>12s} {'executor loc (med/p95)':>24s} "
           f"{'driver loc':>11s} {'total p95':>10s}")
     for extra in (0.0, 1 * GB, 2 * GB, 4 * GB, 8 * GB):
-        scenario = TraceScenario(
-            n_queries=args.queries,
+        scenario = trace_recipe(
+            args.queries,
             seed=args.seed,
             extra_localized_bytes=extra,
             mean_interarrival_s=45.0,  # spaced: measure one job at a time

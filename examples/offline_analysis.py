@@ -21,18 +21,18 @@ Usage::
 """
 
 import argparse
-import functools
 import tempfile
 from pathlib import Path
 
 from repro.core.checker import SDChecker
-from repro.experiments.harness import TraceScenario, submit_dfsio_interference
+from repro.experiments.harness import DfsioLoad
 from repro.simul.distributions import RandomSource
 from repro.workloads.google_trace import (
     google_trace_arrivals,
     save_trace_csv,
     tpch_query_mix,
 )
+from repro.workloads.scenarios import trace_recipe
 
 
 def main() -> None:
@@ -51,13 +51,10 @@ def main() -> None:
     print(f"saved trace: {trace_path}")
 
     # -- 2. replay twice, dumping logs -------------------------------------
+    clean = trace_recipe(seed=args.seed, trace_file=str(trace_path))
     runs = {
-        "clean": TraceScenario(seed=args.seed, trace_file=str(trace_path)),
-        "dfsio": TraceScenario(
-            seed=args.seed,
-            trace_file=str(trace_path),
-            interference=functools.partial(submit_dfsio_interference, num_maps=100),
-        ),
+        "clean": clean,
+        "dfsio": clean.variant(interference=DfsioLoad(100)),
     }
     logdirs = {}
     for label, scenario in runs.items():

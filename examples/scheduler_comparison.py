@@ -15,7 +15,7 @@ Usage::
 
 import argparse
 
-from repro.experiments.harness import TraceScenario
+from repro.workloads.scenarios import trace_recipe
 
 
 def main() -> None:
@@ -24,12 +24,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args()
 
-    base = TraceScenario(n_queries=args.queries, seed=args.seed)
+    base = trace_recipe(args.queries, seed=args.seed)
 
     print(f"Replaying {args.queries} TPC-H queries per scheduler...\n")
     results = {}
-    for label, opportunistic in (("centralized", False), ("distributed", True)):
-        report = base.variant(opportunistic=opportunistic).run().report
+    for label, scheduler in (("centralized", "capacity"), ("distributed", "opportunistic")):
+        report = base.variant(scheduler=scheduler).run().report
         results[label] = report
         alloc = report.sample("allocation_delay")
         total = report.sample("total_delay")

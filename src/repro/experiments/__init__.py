@@ -1,18 +1,14 @@
 """Experiment harness: one module per paper table/figure.
 
-Each ``figN``/``tableN`` module builds the scenario from section IV,
-runs the simulated testbed, feeds the rendered logs to SDchecker, and
-returns the rows/series the paper reports.  DESIGN.md's experiment
-index maps every module to its figure; EXPERIMENTS.md records
-paper-vs-measured numbers.
+Each ``figN``/``tableN`` module builds the section IV recipe as a
+:class:`~repro.workloads.scenarios.Scenario` (:func:`trace_recipe`),
+sweeps the knob the figure studies, runs the simulated testbed, feeds
+the rendered logs to SDchecker, and returns the rows/series the paper
+reports.  DESIGN.md's experiment index maps every module to its figure;
+EXPERIMENTS.md records paper-vs-measured numbers.
 """
 
-from repro.experiments.harness import (
-    ScenarioResult,
-    TraceScenario,
-    submit_dfsio_interference,
-    submit_kmeans_interference,
-)
+from repro.workloads.scenarios import trace_recipe
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
@@ -26,8 +22,6 @@ from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
 
 __all__ = [
-    "ScenarioResult",
-    "TraceScenario",
     "run_fig4",
     "run_fig5",
     "run_fig6",
@@ -46,6 +40,5 @@ __all__ = [
     "run_fig13",
     "run_table2",
     "run_table3",
-    "submit_dfsio_interference",
-    "submit_kmeans_interference",
+    "trace_recipe",
 ]

@@ -16,17 +16,17 @@ shows which paper result breaks without it:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.checker import SDChecker
 from repro.core.stats import DelaySample
 from repro.experiments.common import resolve_scale
-from repro.experiments.harness import TraceScenario, submit_dfsio_interference
+from repro.experiments.harness import DfsioLoad
 from repro.mapreduce.application import MapReduceApplication
 from repro.params import SimulationParams
 from repro.testbed import Testbed
+from repro.workloads.scenarios import trace_recipe
 
 __all__ = [
     "AblationResult",
@@ -43,22 +43,14 @@ def run_eviction_ablation(
     """Localization median slowdown under dfsIO, with/without eviction."""
     n_queries = resolve_scale(scale, small=40, paper=150)
     out: Dict[str, float] = {}
-    for label, sensitivity in (("with_eviction", None), ("no_eviction", 0.0)):
-        params = (
-            SimulationParams()
-            if sensitivity is None
-            else SimulationParams(page_cache_eviction_sensitivity=0.0)
-        )
-        base = TraceScenario(
-            n_queries=n_queries, seed=seed, params=params, mean_interarrival_s=4.0
-        )
+    for label, params in (
+        ("with_eviction", {}),
+        ("no_eviction", {"page_cache_eviction_sensitivity": 0.0}),
+    ):
+        base = trace_recipe(n_queries, seed=seed, params=params, mean_interarrival_s=4.0)
         clean = base.run().report.container_sample("localization", workers_only=False)
         noisy = (
-            base.variant(
-                interference=functools.partial(
-                    submit_dfsio_interference, num_maps=dfsio_maps
-                )
-            )
+            base.variant(interference=DfsioLoad(dfsio_maps))
             .run()
             .report.container_sample("localization", workers_only=False)
         )
@@ -71,8 +63,8 @@ def run_gate_ablation(scale: str = "small", seed: int = 0) -> Dict[str, DelaySam
     n_queries = resolve_scale(scale, small=50, paper=200)
     out: Dict[str, DelaySample] = {}
     for label, ratio in (("gate_80", 0.8), ("gate_off", 0.01)):
-        scenario = TraceScenario(
-            n_queries=n_queries,
+        scenario = trace_recipe(
+            n_queries,
             seed=seed,
             # Wordcount's short user init + a wide fleet: the driver is
             # ready before the 13th executor registers, so the gate is
@@ -80,7 +72,7 @@ def run_gate_ablation(scale: str = "small", seed: int = 0) -> Dict[str, DelaySam
             workload="wordcount",
             num_executors=16,
             mean_interarrival_s=5.0,
-            params=SimulationParams(min_registered_resources_ratio=ratio),
+            params={"min_registered_resources_ratio": ratio},
         )
         out[label] = scenario.run().report.sample("executor_delay")
     return out

@@ -17,7 +17,7 @@ from typing import Dict, List
 
 from repro.core.stats import DelaySample
 from repro.experiments.common import resolve_scale
-from repro.experiments.harness import TraceScenario
+from repro.workloads.scenarios import trace_recipe
 
 __all__ = ["Fig11Result", "run_fig11", "run_fig11a", "run_fig11b", "FIG11B_VARIANTS"]
 
@@ -31,8 +31,7 @@ def run_fig11a(scale: str = "small", seed: int = 0) -> Dict[str, Dict[str, Delay
     n_queries = resolve_scale(scale, small=60, paper=200)
     out: Dict[str, Dict[str, DelaySample]] = {}
     for key, workload in (("wordcount", "wordcount"), ("sql", "tpch")):
-        scenario = TraceScenario(n_queries=n_queries, seed=seed, workload=workload)
-        report = scenario.run().report
+        report = trace_recipe(n_queries, seed=seed, workload=workload).run().report
         out[key] = {
             "driver": report.sample("driver_delay"),
             "executor": report.sample("executor_delay"),
@@ -45,13 +44,13 @@ def run_fig11b(scale: str = "small", seed: int = 0) -> Dict[str, DelaySample]:
     n_queries = resolve_scale(scale, small=50, paper=200)
     # Light load: the comparison isolates user-init cost, so the
     # executor-delay tail must not be bound by allocation spread.
-    base = TraceScenario(n_queries=n_queries, seed=seed, mean_interarrival_s=4.5)
     out: Dict[str, DelaySample] = {}
     for label in FIG11B_VARIANTS:
         if label == "opt":
-            scenario = base.variant(parallel_rdd_init=True)
+            knob = {"parallel_rdd_init": True}
         else:
-            scenario = base.variant(opened_files_multiplier=int(label[1:]))
+            knob = {"opened_files_multiplier": int(label[1:])}
+        scenario = trace_recipe(n_queries, seed=seed, mean_interarrival_s=4.5, **knob)
         out[label] = scenario.run().report.sample("executor_delay")
     return out
 

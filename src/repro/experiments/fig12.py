@@ -12,13 +12,13 @@ localization is on its critical path too.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.stats import DelaySample
 from repro.experiments.common import resolve_scale
-from repro.experiments.harness import TraceScenario, submit_dfsio_interference
+from repro.experiments.harness import DfsioLoad
+from repro.workloads.scenarios import trace_recipe
 
 __all__ = ["Fig12Result", "run_fig12", "FIG12_MAP_COUNTS"]
 
@@ -70,14 +70,12 @@ def _collect(report) -> Dict[str, DelaySample]:
 def run_fig12(scale: str = "small", seed: int = 0) -> Fig12Result:
     n_queries = resolve_scale(scale, small=50, paper=200)
     # A lightly-loaded baseline isolates the interference effect.
-    base = TraceScenario(n_queries=n_queries, seed=seed, mean_interarrival_s=4.0)
+    base = trace_recipe(n_queries, seed=seed, mean_interarrival_s=4.0)
     series: Dict[int, Dict[str, DelaySample]] = {}
     for maps in FIG12_MAP_COUNTS:
         if maps == 0:
             scenario = base
         else:
-            scenario = base.variant(
-                interference=functools.partial(submit_dfsio_interference, num_maps=maps)
-            )
+            scenario = base.variant(interference=DfsioLoad(maps))
         series[maps] = _collect(scenario.run().report)
     return Fig12Result(series=series)

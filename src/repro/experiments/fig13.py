@@ -12,13 +12,13 @@ CPU-bound parts).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.stats import DelaySample
 from repro.experiments.common import resolve_scale
-from repro.experiments.harness import TraceScenario, submit_kmeans_interference
+from repro.experiments.harness import KmeansLoad
+from repro.workloads.scenarios import trace_recipe
 
 __all__ = ["Fig13Result", "run_fig13", "FIG13_KMEANS_COUNTS"]
 
@@ -68,14 +68,12 @@ def _collect(report) -> Dict[str, DelaySample]:
 
 def run_fig13(scale: str = "small", seed: int = 0) -> Fig13Result:
     n_queries = resolve_scale(scale, small=40, paper=200)
-    base = TraceScenario(n_queries=n_queries, seed=seed, mean_interarrival_s=3.0)
+    base = trace_recipe(n_queries, seed=seed, mean_interarrival_s=3.0)
     series: Dict[int, Dict[str, DelaySample]] = {}
     for apps in FIG13_KMEANS_COUNTS:
         if apps == 0:
             scenario = base
         else:
-            scenario = base.variant(
-                interference=functools.partial(submit_kmeans_interference, num_apps=apps)
-            )
+            scenario = base.variant(interference=KmeansLoad(apps))
         series[apps] = _collect(scenario.run().report)
     return Fig13Result(series=series)

@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 from repro.core.report import AnalysisReport
 from repro.core.stats import DelaySample
 from repro.experiments.common import resolve_scale
-from repro.experiments.harness import ScenarioResult, TraceScenario
+from repro.workloads.scenarios import ScenarioRun, trace_recipe
 
 __all__ = ["Fig4Result", "run_fig4", "FIG4_METRICS"]
 
@@ -38,7 +38,7 @@ class Fig4Result:
     """Everything Figure 4 plots, plus the raw report."""
 
     report: AnalysisReport
-    scenario: ScenarioResult
+    scenario: ScenarioRun
     #: (a) per-metric delay samples.
     samples: Dict[str, DelaySample]
     #: (b) normalized samples: total/job, then am,in,out over total.
@@ -77,8 +77,7 @@ class Fig4Result:
 def run_fig4(scale: str = "small", seed: int = 0) -> Fig4Result:
     """Run the Figure 4 experiment at the given scale."""
     n_queries = resolve_scale(scale, small=150, paper=2000)
-    scenario = TraceScenario(n_queries=n_queries, seed=seed)
-    result = scenario.run()
+    result = trace_recipe(n_queries, seed=seed).run()
     report = result.report
     samples = {m: report.sample(m) for m in FIG4_METRICS}
     normalized = {"total/job": report.normalized_total()}

@@ -18,8 +18,8 @@ from typing import Dict, List
 
 from repro.core.stats import DelaySample
 from repro.experiments.common import resolve_scale
-from repro.experiments.harness import TraceScenario
 from repro.params import GB, MB
+from repro.workloads.scenarios import trace_recipe
 
 __all__ = ["Fig5Result", "run_fig5", "FIG5_SIZES"]
 
@@ -65,8 +65,8 @@ def run_fig5(scale: str = "small", seed: int = 0) -> Fig5Result:
     n_queries = resolve_scale(scale, small=40, paper=200)
     series: Dict[str, Dict[str, DelaySample]] = {}
     for size in FIG5_SIZES:
-        scenario = TraceScenario(
-            n_queries=n_queries,
+        scenario = trace_recipe(
+            n_queries,
             dataset_bytes=size,
             seed=seed,
             # Larger inputs mean longer jobs; keep the offered load

@@ -16,7 +16,7 @@ from typing import Dict, List
 
 from repro.core.stats import DelaySample
 from repro.experiments.common import resolve_scale
-from repro.experiments.harness import TraceScenario
+from repro.workloads.scenarios import trace_recipe
 
 __all__ = ["Fig6Result", "run_fig6", "FIG6_EXECUTORS"]
 
@@ -46,8 +46,8 @@ def run_fig6(scale: str = "small", seed: int = 0) -> Fig6Result:
     n_queries = resolve_scale(scale, small=60, paper=200)
     series: Dict[int, Dict[str, DelaySample]] = {}
     for executors in FIG6_EXECUTORS:
-        scenario = TraceScenario(
-            n_queries=n_queries,
+        scenario = trace_recipe(
+            n_queries,
             num_executors=executors,
             seed=seed,
             # Same trace for every point, as in the paper — bigger jobs

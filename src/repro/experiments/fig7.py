@@ -20,11 +20,10 @@ from typing import Any, Dict, Generator, List, Tuple
 from repro.core.checker import SDChecker
 from repro.core.stats import DelaySample
 from repro.experiments.common import resolve_scale
-from repro.experiments.harness import TraceScenario
 from repro.mapreduce.application import MapReduceApplication
-from repro.params import SimulationParams
 from repro.simul.engine import Event
 from repro.testbed import Testbed
+from repro.workloads.scenarios import trace_recipe
 from repro.yarn.app import ContainerContext
 
 __all__ = [
@@ -49,9 +48,9 @@ def run_fig7a(
 ) -> Dict[str, DelaySample]:
     """{'ce': ..., 'de': ...} aggregated allocation-delay samples."""
     n_queries = resolve_scale(scale, small=80, paper=200)
-    base = TraceScenario(n_queries=n_queries, seed=seed)
+    base = trace_recipe(n_queries, seed=seed)
     ce = base.run().report.sample("allocation_delay")
-    de = base.variant(opportunistic=True).run().report.sample("allocation_delay")
+    de = base.variant(scheduler="opportunistic").run().report.sample("allocation_delay")
     return {"ce": ce, "de": de}
 
 
@@ -104,16 +103,13 @@ def run_fig7b(scale: str = "small", seed: int = 0) -> Dict[str, DelaySample]:
     samples: Dict[str, DelaySample] = {}
     # Unloaded reference: the intrinsic launch time to subtract.
     reference = (
-        TraceScenario(n_queries=10, seed=seed + 1)
-        .run()
-        .report.container_sample("launching")
-        .p50
+        trace_recipe(10, seed=seed + 1).run().report.container_sample("launching").p50
     )
-    for key, opportunistic in (("ce", False), ("de", True)):
-        scenario = TraceScenario(
-            n_queries=n_queries,
+    for key, scheduler in (("ce", "capacity"), ("de", "opportunistic")):
+        scenario = trace_recipe(
+            n_queries,
             seed=seed,
-            opportunistic=opportunistic,
+            scheduler=scheduler,
             interference=interference,
             warmup_s=25.0,
             mean_interarrival_s=4.0,

@@ -13,8 +13,8 @@ from typing import Dict, List
 
 from repro.core.stats import DelaySample
 from repro.experiments.common import resolve_scale
-from repro.experiments.harness import TraceScenario
 from repro.params import GB
+from repro.workloads.scenarios import trace_recipe
 
 __all__ = ["Fig8Result", "run_fig8", "FIG8_EXTRA_SIZES"]
 
@@ -54,8 +54,8 @@ def run_fig8(scale: str = "small", seed: int = 0) -> Fig8Result:
     n_queries = resolve_scale(scale, small=15, paper=40)
     series: Dict[str, Dict[str, DelaySample]] = {}
     for size in FIG8_EXTRA_SIZES:
-        scenario = TraceScenario(
-            n_queries=n_queries,
+        scenario = trace_recipe(
+            n_queries,
             seed=seed,
             extra_localized_bytes=size,
             # Per-component study: spaced submissions so one job's

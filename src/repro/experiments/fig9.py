@@ -16,9 +16,8 @@ from typing import Dict, List
 from repro.core.checker import SDChecker
 from repro.core.stats import DelaySample
 from repro.experiments.common import resolve_scale
-from repro.experiments.harness import TraceScenario
 from repro.mapreduce.application import MapReduceApplication
-from repro.testbed import Testbed
+from repro.workloads.scenarios import trace_recipe
 
 __all__ = ["Fig9Result", "run_fig9", "run_fig9a", "run_fig9b", "INSTANCE_TYPES"]
 
@@ -29,8 +28,7 @@ def run_fig9a(scale: str = "small", seed: int = 0) -> Dict[str, DelaySample]:
     """Launching-delay sample per instance type, from a mixed workload."""
     n_spark = resolve_scale(scale, small=25, paper=100)
     n_mr = resolve_scale(scale, small=8, paper=30)
-    scenario = TraceScenario(n_queries=n_spark, seed=seed, mean_interarrival_s=4.0)
-    bed = scenario.build()
+    bed, _monitor = trace_recipe(n_spark, seed=seed, mean_interarrival_s=4.0).build()
     for i in range(n_mr):
         bed.submit(
             MapReduceApplication(f"mr-wc-{i}", num_maps=6, num_reduces=2),
@@ -44,10 +42,10 @@ def run_fig9a(scale: str = "small", seed: int = 0) -> Dict[str, DelaySample]:
 def run_fig9b(scale: str = "small", seed: int = 0) -> Dict[str, DelaySample]:
     """{'default': ..., 'docker': ...} Spark launching-delay samples."""
     n_queries = resolve_scale(scale, small=40, paper=150)
-    base = TraceScenario(n_queries=n_queries, seed=seed, mean_interarrival_s=4.0)
     out: Dict[str, DelaySample] = {}
     for key, docker in (("default", False), ("docker", True)):
-        report = base.variant(docker=docker).run().report
+        scenario = trace_recipe(n_queries, seed=seed, mean_interarrival_s=4.0, docker=docker)
+        report = scenario.run().report
         out[key] = report.container_sample("launching", workers_only=False)
     return out
 

@@ -1,200 +1,40 @@
-"""The shared scenario runner.
+"""Interference hooks shared by the figure modules.
 
-A :class:`TraceScenario` reproduces the paper's experimental recipe
-(section IV-A): build the testbed, populate a TPC-H dataset, replay a
-google-trace-patterned stream of query submissions (plus optional
-interference workloads), run to completion, and hand the logs to
-SDchecker.  Figures differ only in which knob they sweep.
+A :class:`~repro.workloads.scenarios.Scenario`'s ``interference`` is a
+callable that submits co-located load to the fresh testbed before the
+first measured job (Figs 12 and 13, the dfsIO ablations).  The hooks
+here are frozen dataclasses rather than closures, so a scenario that
+carries one compares by value and pickles, and a hook built in a loop
+keeps the count it was built with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
 
-from repro.core.checker import SDChecker
-from repro.core.report import AnalysisReport
-from repro.params import GB, SimulationParams
-from repro.simul.distributions import RandomSource
-from repro.spark.application import SparkApplication
 from repro.testbed import Testbed
 from repro.workloads.dfsio import make_dfsio_app
-from repro.workloads.google_trace import (
-    google_trace_arrivals,
-    load_trace_csv,
-    tpch_query_mix,
-)
 from repro.workloads.kmeans import make_kmeans_app
-from repro.workloads.tpch import TPCHDataset, TPCHQueryWorkload
-from repro.workloads.wordcount import WordCountWorkload
 
-__all__ = [
-    "TraceScenario",
-    "ScenarioResult",
-    "submit_dfsio_interference",
-    "submit_kmeans_interference",
-]
+__all__ = ["DfsioLoad", "KmeansLoad"]
 
 
-@dataclass
-class ScenarioResult:
-    """A finished run: the testbed (white box) + SDchecker's report."""
+@dataclass(frozen=True)
+class DfsioLoad:
+    """One dfsIO job whose ``num_maps`` map tasks each write 20 GB."""
 
-    testbed: Testbed
-    report: AnalysisReport
-    #: FINISHED time of the last measured application.
-    makespan: float
-    #: app names of the measured (non-interference) applications.
-    measured_apps: List[str] = field(default_factory=list)
+    num_maps: int
+
+    def __call__(self, bed: Testbed) -> None:
+        bed.submit(make_dfsio_app(f"dfsio-{self.num_maps}", self.num_maps))
 
 
-def submit_dfsio_interference(bed: Testbed, num_maps: int) -> None:
-    """Start a dfsIO job with ``num_maps`` 20 GB writers at time zero."""
-    if num_maps > 0:
-        bed.submit(make_dfsio_app(f"dfsio-{num_maps}", num_maps))
+@dataclass(frozen=True)
+class KmeansLoad:
+    """``num_apps`` Kmeans jobs (4 executors x 16 vcores), 0.5 s apart."""
 
+    num_apps: int
 
-def submit_kmeans_interference(bed: Testbed, num_apps: int) -> None:
-    """Start ``num_apps`` Kmeans jobs (4 executors x 16 vcores each)."""
-    for i in range(num_apps):
-        bed.submit(make_kmeans_app(f"kmeans-{i}", bed.params), delay=0.5 * i)
-
-
-@dataclass
-class TraceScenario:
-    """One experiment configuration."""
-
-    #: Number of measured query jobs (the paper's long trace is 2000,
-    #: the short per-component trace 200).
-    n_queries: int = 200
-    #: TPC-H dataset size (paper default 2 GB).
-    dataset_bytes: float = 2.0 * GB
-    #: Executors per query job (paper default 4).
-    num_executors: int = 4
-    #: Mean inter-arrival of the submission trace ("moderate cluster
-    #: loads", section IV-B: ~50-60% CPU utilization at steady state).
-    mean_interarrival_s: float = 3.0
-    seed: int = 0
-    #: "tpch" (Spark-SQL) or "wordcount" (plain Spark).
-    workload: str = "tpch"
-    #: Enable the Hadoop-3 distributed scheduler...
-    distributed_scheduling: bool = False
-    #: ...and request OPPORTUNISTIC containers from it.
-    opportunistic: bool = False
-    #: Launch containers inside Docker (Fig 9b).
-    docker: bool = False
-    #: Extra "--files" payload localized by every executor (Fig 8).
-    extra_localized_bytes: float = 0.0
-    #: Fig 11b sweep: multiply the files opened during user init.
-    opened_files_multiplier: int = 1
-    #: Fig 11b "opt": parallelize RDD init with Futures.
-    parallel_rdd_init: bool = False
-    #: Simulation parameter overrides.
-    params: Optional[SimulationParams] = None
-    #: Replay a saved trace CSV (arrival_s,query rows) instead of
-    #: generating arrivals; overrides n_queries / mean_interarrival_s.
-    trace_file: Optional[str] = None
-    #: Hook submitting interference workloads before the trace starts.
-    interference: Optional[Callable[[Testbed], None]] = None
-    #: Delay before the first measured submission (lets interference
-    #: workloads reach steady state).
-    warmup_s: float = 30.0
-    #: Safety limit on simulated time.
-    limit_s: float = 200_000.0
-
-    def build(self) -> Testbed:
-        """The testbed with all applications submitted (not yet run)."""
-        bed = Testbed(
-            params=self.params,
-            seed=self.seed,
-            distributed_scheduling=self.distributed_scheduling or self.opportunistic,
-        )
-        if self.interference is not None:
-            self.interference(bed)
-            start = self.warmup_s
-        else:
-            start = 0.0
-        rng = RandomSource(self.seed, "trace")
-        if self.trace_file is not None:
-            arrivals, self._fixed_queries = load_trace_csv(self.trace_file)
-            self.n_queries = len(arrivals)
-        else:
-            self._fixed_queries = None
-            arrivals = google_trace_arrivals(
-                self.n_queries, self.mean_interarrival_s, rng.child("arrivals")
-            )
-        # Fresh dataset per build: HdfsFile objects are bound to one
-        # testbed's nodes and must never leak across runs.
-        self._dataset = TPCHDataset(self.dataset_bytes)
-        self._measured = []
-        for i, offset in enumerate(arrivals):
-            app = self._make_app(i, rng)
-            self._measured.append(app.name)
-            bed.submit(app, delay=start + offset)
-        return bed
-
-    def _make_app(self, index: int, rng: RandomSource) -> SparkApplication:
-        if self.workload == "tpch":
-            if self._fixed_queries is not None:
-                query = self._fixed_queries[index]
-            else:
-                query = tpch_query_mix(1, rng.child(f"mix.{index}"))[0]
-            workload = TPCHQueryWorkload(
-                self._dataset,
-                query=query,
-                opened_files_multiplier=self.opened_files_multiplier,
-            )
-            name = f"tpch-q{query}-{index:04d}"
-        elif self.workload == "wordcount":
-            workload = WordCountWorkload(self.dataset_bytes, name=f"wc-{index:04d}")
-            name = f"wordcount-{index:04d}"
-        else:
-            raise ValueError(f"unknown workload {self.workload!r}")
-        return SparkApplication(
-            name,
-            workload,
-            num_executors=self.num_executors,
-            docker=self.docker,
-            opportunistic=self.opportunistic,
-            extra_localized_bytes=self.extra_localized_bytes,
-            parallel_rdd_init=self.parallel_rdd_init,
-        )
-
-    def run(self) -> ScenarioResult:
-        """Build, simulate to completion, analyze with SDchecker."""
-        bed = self.build()
-        makespan = bed.run_until_all_finished(limit=self.limit_s)
-        report = SDChecker().analyze(bed.log_store)
-        report = self._filter_measured(report)
-        return ScenarioResult(
-            testbed=bed,
-            report=report,
-            makespan=makespan,
-            measured_apps=list(self._measured),
-        )
-
-    def _filter_measured(self, report: AnalysisReport) -> AnalysisReport:
-        """Keep only the measured query apps (drop interference jobs).
-
-        SDchecker itself cannot tell them apart — the filter uses the
-        submission bookkeeping (app IDs are assigned in submission
-        order, interference first), mirroring how the paper reports
-        only the trace queries.
-        """
-        if self.interference is None:
-            return report
-        measured_ids = self._measured_app_ids(report)
-        apps = [a for a in report.apps if a.app_id in measured_ids]
-        findings = [f for f in report.bug_findings if f.app_id in measured_ids]
-        return AnalysisReport(apps=apps, bug_findings=findings)
-
-    def _measured_app_ids(self, report: AnalysisReport) -> set:
-        # Interference apps are submitted before the trace; measured
-        # queries are therefore the n_queries highest app sequence
-        # numbers.
-        ids = sorted(a.app_id for a in report.apps)
-        return set(ids[-self.n_queries :])
-
-    def variant(self, **overrides) -> "TraceScenario":
-        """A copy with fields replaced (sweep helper)."""
-        return replace(self, **overrides)
+    def __call__(self, bed: Testbed) -> None:
+        for i in range(self.num_apps):
+            bed.submit(make_kmeans_app(f"kmeans-{i}", bed.params), delay=0.5 * i)

@@ -19,17 +19,17 @@ effect *and* the advertised trade-off:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.checker import SDChecker
 from repro.core.stats import DelaySample
 from repro.experiments.common import resolve_scale
-from repro.experiments.harness import TraceScenario, submit_dfsio_interference
+from repro.experiments.harness import DfsioLoad
 from repro.mapreduce.application import MapReduceApplication
 from repro.params import SimulationParams
 from repro.testbed import Testbed
+from repro.workloads.scenarios import trace_recipe
 
 __all__ = [
     "OptimizationResult",
@@ -50,11 +50,7 @@ def run_jvm_reuse(scale: str = "small", seed: int = 0) -> Dict[str, Dict[str, De
     n_queries = resolve_scale(scale, small=60, paper=200)
     out: Dict[str, Dict[str, DelaySample]] = {}
     for label, reuse in (("default", False), ("jvm_reuse", True)):
-        scenario = TraceScenario(
-            n_queries=n_queries,
-            seed=seed,
-            params=SimulationParams(jvm_reuse=reuse),
-        )
+        scenario = trace_recipe(n_queries, seed=seed, params={"jvm_reuse": reuse})
         report = scenario.run().report
         steady = report.apps[len(report.apps) // 2 :]
         out[label] = {
@@ -70,15 +66,14 @@ def run_dedicated_localization(
 ) -> Dict[str, DelaySample]:
     """Localization delay under dfsIO, shared vs dedicated storage."""
     n_queries = resolve_scale(scale, small=40, paper=200)
-    interference = functools.partial(submit_dfsio_interference, num_maps=dfsio_maps)
     out: Dict[str, DelaySample] = {}
     for label, storage in (("shared", "shared"), ("dedicated", "dedicated")):
-        scenario = TraceScenario(
-            n_queries=n_queries,
+        scenario = trace_recipe(
+            n_queries,
             seed=seed,
             mean_interarrival_s=4.0,
-            interference=interference,
-            params=SimulationParams(localization_storage=storage),
+            interference=DfsioLoad(dfsio_maps),
+            params={"localization_storage": storage},
         )
         report = scenario.run().report
         out[label] = report.container_sample("localization", workers_only=False)

@@ -25,7 +25,7 @@ from typing import Dict, List
 from repro.core.checker import SDChecker
 from repro.core.report import AnalysisReport
 from repro.experiments.common import resolve_scale
-from repro.experiments.harness import TraceScenario
+from repro.workloads.scenarios import trace_recipe
 
 __all__ = ["Table3Result", "run_table3", "critical_path_shares"]
 
@@ -120,8 +120,7 @@ class Table3Result:
 
 def run_table3(scale: str = "small", seed: int = 0) -> Table3Result:
     n_queries = resolve_scale(scale, small=100, paper=2000)
-    scenario = TraceScenario(n_queries=n_queries, seed=seed)
-    result = scenario.run()
+    result = trace_recipe(n_queries, seed=seed).run()
     report = result.report
     return Table3Result(
         report=report,

@@ -3,7 +3,8 @@
 Declarative, seeded scenarios composing arrival processes, tenant
 mixes, schedulers, preemption, hardware profiles, and mid-run cluster
 events into single runs the unmodified miner consumes.  See
-:mod:`repro.workloads.scenarios.presets` for the named packs.
+:mod:`repro.workloads.scenarios.presets` for the named packs, and
+:func:`trace_recipe` for the paper's own section IV-A recipe.
 """
 
 from repro.workloads.scenarios.arrivals import (
@@ -22,6 +23,7 @@ from repro.workloads.scenarios.scenario import (
     Scenario,
     ScenarioRun,
     TenantSpec,
+    trace_recipe,
 )
 
 __all__ = [
@@ -36,4 +38,5 @@ __all__ = [
     "poisson_arrivals",
     "mmpp_arrivals",
     "diurnal_arrivals",
+    "trace_recipe",
 ]

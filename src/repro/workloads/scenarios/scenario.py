@@ -7,6 +7,10 @@ decommissions, autoscale joins) — and :meth:`Scenario.run` compiles it
 onto a :class:`~repro.testbed.Testbed`, runs it to completion, and
 mines the logs with SDchecker.
 
+The paper's own experimental recipe (section IV-A) is a scenario too:
+:func:`trace_recipe` sets the fields that fix its bytes, and every
+figure, example and ablation runs one, swept over the knob it studies.
+
 Everything is keyed by ``RandomSource`` substreams derived from one
 seed: two runs of the same scenario at the same seed emit byte-identical
 logs (the golden-snapshot tests pin this).  Every scenario emits the
@@ -19,7 +23,7 @@ extended decomposition (:mod:`repro.core.decompose`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.profiles import HARDWARE_PROFILES
 from repro.core.checker import SDChecker
@@ -28,16 +32,24 @@ from repro.params import GB, SimulationParams
 from repro.simul.distributions import RandomSource
 from repro.spark.application import SparkApplication
 from repro.testbed import Testbed
-from repro.workloads.google_trace import google_trace_arrivals
+from repro.workloads.google_trace import google_trace_arrivals, load_trace_csv
 from repro.workloads.scenarios.arrivals import (
     diurnal_arrivals,
     mmpp_arrivals,
     poisson_arrivals,
 )
 from repro.workloads.tpch import TPCHDataset, TPCHQueryWorkload
+from repro.workloads.wordcount import WordCountWorkload
 from repro.yarn.preemption import PreemptionMonitor
 
-__all__ = ["ArrivalSpec", "TenantSpec", "ClusterEvent", "Scenario", "ScenarioRun"]
+__all__ = [
+    "ArrivalSpec",
+    "TenantSpec",
+    "ClusterEvent",
+    "Scenario",
+    "ScenarioRun",
+    "trace_recipe",
+]
 
 
 @dataclass(frozen=True)
@@ -76,7 +88,11 @@ class ArrivalSpec:
 
 @dataclass(frozen=True)
 class TenantSpec:
-    """One tenant: a YARN queue, its fair-share weight, and its jobs."""
+    """One tenant: a YARN queue, its fair-share weight, and its jobs.
+
+    Its jobs are named ``<name>-q<query>-<i>`` (TPC-H) or ``<name>-<i>``
+    (wordcount), ``i`` counting every job of the scenario.
+    """
 
     name: str
     #: Relative share of submissions routed to this tenant.
@@ -87,6 +103,19 @@ class TenantSpec:
     num_executors: int = 4
     #: TPC-H templates this tenant draws from (None = all 22).
     queries: Optional[Tuple[int, ...]] = None
+    #: "tpch" (Spark-SQL) or "wordcount" (plain Spark, Fig 11a).
+    workload: str = "tpch"
+    #: Launch containers inside Docker (Fig 9b).
+    docker: bool = False
+    #: Extra "--files" payload localized by every executor (Fig 8).
+    extra_localized_bytes: float = 0.0
+    #: Multiply the files opened during user init (Fig 11b).
+    opened_files_multiplier: int = 1
+    #: Parallelize RDD init with Futures (Fig 11b "opt").
+    parallel_rdd_init: bool = False
+    #: YARN user and queue of the jobs (None = the tenant name).
+    user: Optional[str] = None
+    queue: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -146,6 +175,28 @@ class Scenario:
     default_seed: int = 0
     #: Simulated-time safety limit.
     limit_s: float = 50_000.0
+    #: Submits co-located workloads to the fresh testbed before any job
+    #: (Figs 7b, 12, 13).  Its apps are left out of the report.
+    interference: Optional[Callable[[Testbed], None]] = None
+    #: With interference, the first job arrives this late, so the
+    #: interference has reached steady state.
+    warmup_s: float = 30.0
+    #: (arrival_s, query) rows of a trace file, replayed in place of the
+    #: sampled arrivals and query mix; one row per job.
+    replay: Tuple[Tuple[float, int], ...] = ()
+    #: Root substream name (None = "scenario.<name>").
+    rng_root: Optional[str] = None
+    #: Draw each job's query from its own "mix.<i>" substream instead
+    #: of one shared "mix" stream.
+    mix_per_job: bool = False
+    #: TPC-H dataset name (None = "<name>-ds").
+    dataset_name: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.replay and len(self.replay) != self.n_jobs:
+            raise ValueError(
+                f"n_jobs is {self.n_jobs} but the trace replays {len(self.replay)} jobs"
+            )
 
     def variant(self, **overrides) -> "Scenario":
         return replace(self, **overrides)
@@ -182,24 +233,54 @@ class Scenario:
             else None
         )
         self._schedule_cluster_events(bed)
-        rng = RandomSource(seed, f"scenario.{self.name}")
-        dataset = TPCHDataset(self.dataset_bytes, name=f"{self.name}-ds")
-        arrivals = self.arrivals.sample(self.n_jobs, rng.child("arrivals"))
+        start = 0.0
+        if self.interference is not None:
+            self.interference(bed)
+            start = self.warmup_s
+        rng = RandomSource(seed, self.rng_root or f"scenario.{self.name}")
+        # Fresh per build: HdfsFile objects are bound to one testbed's
+        # nodes and must never leak across runs.
+        dataset = TPCHDataset(
+            self.dataset_bytes, name=self.dataset_name or f"{self.name}-ds"
+        )
+        if self.replay:
+            arrivals = [arrival for arrival, _ in self.replay]
+        else:
+            arrivals = self.arrivals.sample(self.n_jobs, rng.child("arrivals"))
         tenant_rng = rng.child("tenants")
         mix_rng = rng.child("mix")
         for i, offset in enumerate(arrivals):
             tenant = self._pick_tenant(tenant_rng)
-            pool = list(tenant.queries) if tenant.queries else list(range(1, 23))
-            query = pool[mix_rng.integers(0, len(pool))]
+            if tenant.workload == "tpch":
+                if self.replay:
+                    query = self.replay[i][1]
+                else:
+                    pool = tenant.queries or range(1, 23)
+                    mix = rng.child(f"mix.{i}") if self.mix_per_job else mix_rng
+                    query = pool[mix.integers(0, len(pool))]
+                name = f"{tenant.name}-q{query}-{i:04d}"
+                workload = TPCHQueryWorkload(
+                    dataset,
+                    query=query,
+                    opened_files_multiplier=tenant.opened_files_multiplier,
+                )
+            elif tenant.workload == "wordcount":
+                name = f"{tenant.name}-{i:04d}"
+                workload = WordCountWorkload(self.dataset_bytes, name=f"wc-{i:04d}")
+            else:
+                raise ValueError(f"unknown workload {tenant.workload!r}")
             app = SparkApplication(
-                f"{tenant.name}-q{query}-{i:04d}",
-                TPCHQueryWorkload(dataset, query=query),
+                name,
+                workload,
                 num_executors=tenant.num_executors,
-                user=tenant.name,
-                queue=tenant.name,
+                docker=tenant.docker,
                 opportunistic=distributed,
+                extra_localized_bytes=tenant.extra_localized_bytes,
+                parallel_rdd_init=tenant.parallel_rdd_init,
+                user=tenant.user or tenant.name,
+                queue=tenant.queue or tenant.name,
             )
-            bed.submit(app, delay=offset)
+            bed.submit(app, delay=start + offset)
         return bed, monitor
 
     def _pick_tenant(self, rng: RandomSource) -> TenantSpec:
@@ -250,6 +331,14 @@ class Scenario:
         if monitor is not None:
             monitor.stop()
         report = SDChecker().analyze(bed.log_store)
+        if self.interference is not None:
+            # App ids follow submission order and the interference goes
+            # first, so the jobs hold the n_jobs highest ids.
+            measured = set(sorted(a.app_id for a in report.apps)[-self.n_jobs :])
+            report = AnalysisReport(
+                apps=[a for a in report.apps if a.app_id in measured],
+                bug_findings=[f for f in report.bug_findings if f.app_id in measured],
+            )
         failure_kills = sum(
             1
             for app in bed.applications
@@ -265,3 +354,64 @@ class Scenario:
             preemptions=preemptions,
             failure_kills=failure_kills - preemptions,
         )
+
+
+def trace_recipe(
+    n_queries: int = 200,
+    *,
+    seed: int = 0,
+    mean_interarrival_s: float = 3.0,
+    trace_file: Optional[str] = None,
+    workload: str = "tpch",
+    num_executors: int = 4,
+    docker: bool = False,
+    extra_localized_bytes: float = 0.0,
+    opened_files_multiplier: int = 1,
+    parallel_rdd_init: bool = False,
+    **fields: Any,
+) -> Scenario:
+    """The paper's experimental recipe (section IV-A) as a scenario.
+
+    ``n_queries`` TPC-H (or wordcount) jobs of one tenant arrive on the
+    google-trace process at ``mean_interarrival_s``, or at the rows of
+    ``trace_file`` (an ``arrival_s,query`` CSV, see
+    :func:`~repro.workloads.google_trace.save_trace_csv`).  The other
+    keywords set the tenant's per-job knobs, and ``fields`` any other
+    :class:`Scenario` field (``dataset_bytes``, ``scheduler``,
+    ``params``, ``interference``, ``warmup_s``).
+
+    The values that fix the recipe's bytes are set here and nowhere
+    else: the ``trace`` root substream with one ``mix.<i>`` child per
+    job, the app names ``tpch-q<q>-<i>`` and ``wordcount-<i>`` in
+    SparkApplication's default ``ubuntu`` user and ``default`` queue,
+    the dataset name ``tpch1`` (the name a testbed gives its first
+    unnamed dataset), and a 200,000 s limit.
+    """
+    if trace_file is not None:
+        arrivals, queries = load_trace_csv(trace_file)
+        fields["replay"] = tuple(zip(arrivals, queries))
+        n_queries = len(arrivals)
+    tenant = TenantSpec(
+        workload,
+        num_executors=num_executors,
+        workload=workload,
+        docker=docker,
+        extra_localized_bytes=extra_localized_bytes,
+        opened_files_multiplier=opened_files_multiplier,
+        parallel_rdd_init=parallel_rdd_init,
+        user="ubuntu",
+        queue="default",
+    )
+    return Scenario(
+        name="paper-trace",
+        description="The paper's experimental recipe (section IV-A).",
+        n_jobs=n_queries,
+        arrivals=ArrivalSpec(kind="trace", rate_per_s=1.0 / mean_interarrival_s),
+        tenants=(tenant,),
+        default_seed=seed,
+        limit_s=200_000.0,
+        rng_root="trace",
+        mix_per_job=True,
+        dataset_name="tpch1",
+        **fields,
+    )

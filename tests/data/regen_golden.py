@@ -19,6 +19,11 @@ It rebuilds, fully deterministically:
   snapshot per scenario pack in
   :data:`repro.workloads.scenarios.SCENARIO_PRESETS`, each generated
   at its preset's pinned seed;
+* ``tests/data/recipe_<name>_expected.json``  — one snapshot per run
+  of the paper's section IV-A recipe in :func:`recipe_scenarios`: the
+  submitted apps' names, users and queues, the SHA-256 of the dumped
+  logs, and the measured report.  ``tests/data/trace_replay.csv`` is
+  the trace file the replay run reads;
 * ``tests/data/calibrate_diurnal_burst_fitted.json``  — one small
   calibration self-fit on the diurnal-burst preset (seed 7, 2 grid +
   2 random trials), the byte-pinned fitted-model artifact
@@ -31,6 +36,7 @@ regen before committing it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import sys
@@ -38,6 +44,61 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+TRACE_CSV = HERE / "trace_replay.csv"
+
+
+def write_trace_csv() -> Path:
+    """The three-job trace file the ``trace-replay`` recipe run reads."""
+    from repro.simul.distributions import RandomSource
+    from repro.workloads.google_trace import google_trace_arrivals, save_trace_csv
+
+    arrivals = google_trace_arrivals(3, 3.0, RandomSource(6).child("a"))
+    return save_trace_csv(TRACE_CSV, arrivals, [1, 6, 6])
+
+
+def recipe_scenarios() -> dict:
+    """Small runs of the paper's recipe, each pinned by a snapshot.
+
+    ``dfsio-warmup`` adds dfsIO interference and a warm-up, so it pins
+    the measured-app filter too; ``trace-replay`` reads its arrivals
+    and queries from :data:`TRACE_CSV`.
+    """
+    from repro.experiments.harness import DfsioLoad
+    from repro.params import GB
+    from repro.workloads.scenarios import trace_recipe
+
+    return {
+        "dfsio-warmup": trace_recipe(
+            3,
+            seed=52,
+            mean_interarrival_s=2.0,
+            params={"num_nodes": 5, "dfsio_bytes_per_map": 1 * GB},
+            interference=DfsioLoad(2),
+            warmup_s=5.0,
+        ),
+        "trace-replay": trace_recipe(
+            trace_file=str(TRACE_CSV), seed=9, params={"num_nodes": 5}
+        ),
+    }
+
+
+def recipe_path(name: str) -> Path:
+    return HERE / f"recipe_{name.replace('-', '_')}_expected.json"
+
+
+def recipe_snapshot(run) -> dict:
+    """What pins a recipe run: every submitted app's name, user and
+    queue (none of them need show in a log line), a digest of the
+    dumped logs, and the measured report."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as scratch:
+        for path in sorted(run.testbed.dump_logs(Path(scratch) / "logs")):
+            digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0")
+    return {
+        "applications": [[a.name, a.user, a.queue] for a in run.testbed.applications],
+        "logs_sha256": digest.hexdigest(),
+        "report": run.report.to_dict(),
+    }
 
 
 def build_corpus(logdir: Path) -> None:
@@ -103,6 +164,14 @@ def main() -> int:
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
         )
         print(f"snapshot: {snapshot.name} ({len(report)} app(s))")
+
+    write_trace_csv()
+    for name, scenario in recipe_scenarios().items():
+        snapshot = recipe_path(name)
+        snapshot.write_text(
+            json.dumps(recipe_snapshot(scenario.run()), indent=2, sort_keys=True) + "\n"
+        )
+        print(f"snapshot: {snapshot.name}")
 
     from repro.calibrate import fit
 

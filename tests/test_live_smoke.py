@@ -224,7 +224,8 @@ class TestServeCli:
     def test_serve_runs_until_client_shutdown(self, tmp_path):
         logdir = _golden_copy(tmp_path)
         env = dict(os.environ, PYTHONPATH=str(SRC))
-        process = subprocess.Popen(
+        # Leaving the ``with`` closes both pipes and reaps the process.
+        with subprocess.Popen(
             [
                 sys.executable,
                 "-m",
@@ -240,16 +241,15 @@ class TestServeCli:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-        )
-        try:
-            # The banner announces the bound port.
-            banner = process.stderr.readline()
-            assert "serving" in banner
-            port = int(banner.rsplit(":", 1)[1])
-            rc = main(["query", "shutdown", "--port", str(port)])
-            assert rc == 0
-            assert process.wait(timeout=60) == 0
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
+        ) as process:
+            try:
+                # The banner announces the bound port.
+                banner = process.stderr.readline()
+                assert "serving" in banner
+                port = int(banner.rsplit(":", 1)[1])
+                rc = main(["query", "shutdown", "--port", str(port)])
+                assert rc == 0
+                assert process.wait(timeout=60) == 0
+            finally:
+                if process.poll() is None:
+                    process.kill()

@@ -90,20 +90,18 @@ class TestTraceFiles:
             load_trace_csv(tmp_path / "t.csv")
 
     def test_scenario_replays_trace_file(self, tmp_path):
-        from repro.experiments.harness import TraceScenario
-        from repro.params import SimulationParams
+        from repro.workloads.scenarios import trace_recipe
 
         rng = RandomSource(6)
         arrivals = google_trace_arrivals(3, 3.0, rng.child("a"))
         queries = [1, 6, 6]
         path = save_trace_csv(tmp_path / "trace.csv", arrivals, queries)
-        scenario = TraceScenario(
-            trace_file=str(path), params=SimulationParams(num_nodes=5), seed=9
-        )
+        scenario = trace_recipe(trace_file=str(path), seed=9, params={"num_nodes": 5})
         result = scenario.run()
         assert len(result.report) == 3
-        assert result.measured_apps[0].startswith("tpch-q1")
-        assert result.measured_apps[1].startswith("tpch-q6")
+        names = [app.name for app in result.testbed.applications]
+        assert names[0].startswith("tpch-q1")
+        assert names[1].startswith("tpch-q6")
 
 
 class TestCliExtensions:

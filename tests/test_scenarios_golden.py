@@ -25,6 +25,7 @@ import pytest
 from repro.core.checker import SDChecker
 from repro.core.decompose import BREAKDOWN_COMPONENTS
 from repro.workloads.scenarios import SCENARIO_PRESETS, get_scenario, list_scenarios
+from tests.data.regen_golden import recipe_path, recipe_scenarios, recipe_snapshot
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -55,6 +56,19 @@ def runs(tmp_path_factory):
         run.testbed.dump_logs(logdir)
         out[name] = (run, logdir)
     return out
+
+
+class TestRecipeSnapshots:
+    """Small runs of the paper's section IV-A recipe, pinned byte for byte.
+
+    A drift in the recipe's RNG root, its per-job mix streams, or its
+    app, dataset, user or queue names changes these snapshots.
+    """
+
+    @pytest.mark.parametrize("name", ["dfsio-warmup", "trace-replay"])
+    def test_matches_snapshot(self, name):
+        expected = json.loads(recipe_path(name).read_text())
+        assert recipe_snapshot(recipe_scenarios()[name].run()) == expected
 
 
 class TestSnapshots:
