@@ -99,7 +99,7 @@ examples:
 	PYTHONPATH=src $(PYTHON) examples/scheduler_comparison.py --queries 20
 	PYTHONPATH=src $(PYTHON) examples/localization_study.py --queries 8
 	PYTHONPATH=src $(PYTHON) examples/interference_study.py --queries 25
-	PYTHONPATH=src $(PYTHON) examples/offline_analysis.py --queries 12
+	dir=$$(mktemp -d) && PYTHONPATH=src $(PYTHON) examples/offline_analysis.py --queries 12 --workdir "$$dir/new/workdir"; status=$$?; rm -rf "$$dir"; exit $$status
 
 # sdlint: catalog coverage, state-machine structure, determinism,
 # async safety (SD4xx), and process-boundary safety (SD5xx), in one

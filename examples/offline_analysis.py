@@ -42,6 +42,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="sdchecker-"))
+    workdir.mkdir(parents=True, exist_ok=True)
 
     # -- 1. build + persist the trace ------------------------------------
     rng = RandomSource(args.seed, "offline")

@@ -85,6 +85,9 @@ class FittedModel:
     #: The winning full parameter set (``SimulationParams.to_dict()``).
     fitted_params: Dict[str, Any] = field(default_factory=dict)
     fitted_scheduler: str = "capacity"
+    #: The scenario :func:`fit` replayed, kept in memory only: the
+    #: artifact names it, and a loaded one resolves that name as a preset.
+    fitted_on: Optional[Scenario] = field(default=None, repr=False, compare=False)
 
     @property
     def best(self) -> TrialResult:
@@ -95,8 +98,21 @@ class FittedModel:
         return SimulationParams.from_dict(self.fitted_params)
 
     def replay_scenario(self) -> Scenario:
-        """The preset this model replays, with the fit baked in."""
-        return apply_overrides(get_scenario(self.scenario), self.best.overrides)
+        """The scenario this model replays, with the fit baked in.
+
+        A model :func:`fit` returned replays the scenario it was fitted
+        on; a loaded artifact replays the preset it names.
+        """
+        scenario = self.fitted_on
+        if scenario is None:
+            try:
+                scenario = get_scenario(self.scenario)
+            except KeyError:
+                raise ValueError(
+                    f"cannot replay scenario {self.scenario!r}: it is not a "
+                    f"preset, and only the model fit() returned keeps it"
+                ) from None
+        return apply_overrides(scenario, self.best.overrides)
 
     # -- serialization ----------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -258,4 +274,5 @@ def fit(
         best_index=best_index,
         fitted_params=fitted.build_params().to_dict(),
         fitted_scheduler=fitted.scheduler,
+        fitted_on=scenario,
     )

@@ -55,11 +55,11 @@ _LINE_RE = re.compile(
 # -- clean lines: the bulk directory scan's share of the grammar ----------
 #
 # The directory miner (repro.core.parser) scans whole byte chunks.  It
-# marks *clean* lines in one regex pass and reads their timestamps and
-# fields at fixed offsets; every other line goes through
-# :meth:`LogRecord.classify_parse` one at a time.  A clean line is a
-# pure-ASCII line that ``_LINE_RE`` matches and whose date lies in the
-# epoch month, so it parses.  On ASCII bytes ``\d`` and ``\w`` mean
+# finds the *clean* lines by :data:`CLEAN_LINE_HEAD` and reads their
+# timestamps and fields at fixed offsets; only every other line goes
+# through :meth:`LogRecord.classify_parse`, one at a time.  A clean line
+# is a pure-ASCII line that ``_LINE_RE`` matches and whose date lies in
+# the epoch month, so it parses.  On ASCII bytes ``\d`` and ``\w`` mean
 # what they mean on ASCII text; ``\w`` is spelled out as its class,
 # which ``re`` matches faster.
 

@@ -28,8 +28,9 @@ from repro.calibrate import (
     fit,
     resolve_fit_jobs,
     self_target,
+    whatif,
 )
-from repro.workloads.scenarios import get_scenario
+from repro.workloads.scenarios import get_scenario, trace_recipe
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN_FIT = DATA / "calibrate_diurnal_burst_fitted.json"
@@ -179,6 +180,30 @@ class TestArtifact:
     def test_unreadable_path_raises_value_error(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read fitted model"):
             FittedModel.load(tmp_path / "absent.json")
+
+
+class TestFittedRecipe:
+    """A model fitted on a non-preset scenario replays that scenario."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        recipe = trace_recipe(3, seed=1, params={"num_nodes": 5})
+        return fit(recipe, grid_limit=1, random_trials=0, jobs=1)
+
+    def test_replays_and_answers_whatif(self, model):
+        assert model.best.error == 0.0
+        scenario = model.replay_scenario()
+        assert scenario.name == model.scenario
+        assert scenario.params["num_nodes"] == 5
+        answer = whatif(model, {"scheduler": "fair"})
+        assert answer.scenario == model.scenario
+        assert answer.base["total_delay"]["n"] == 3
+
+    def test_loaded_artifact_names_the_scenario_it_cannot_replay(self, model):
+        loaded = FittedModel.from_dict(model.to_dict())
+        assert loaded.dumps() == model.dumps()
+        with pytest.raises(ValueError, match=repr(model.scenario)):
+            loaded.replay_scenario()
 
 
 class TestResolveJobs:

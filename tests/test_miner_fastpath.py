@@ -7,27 +7,35 @@ segments, and adversarial chunk boundaries — mining the directory must
 produce the same events *and the same diagnostics ledger* as mining
 ``LogStore.load`` of it (every line through
 ``LogRecord.classify_parse``), serially and at any job count, for any
-chunk size.
+chunk size.  The byte lane itself hands only unclean lines (non-ASCII,
+garbled, another month) to that reference reader.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
+import shutil
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.parser as parser_mod
 from repro.core.events import EventKind, SchedulingEvent
 from repro.core.parser import (
     AUTO_JOBS,
     AUTO_SERIAL_THRESHOLD_LINES,
     LogMiner,
+    StreamEventAccumulator,
     _gate_kind,
-    _quiet_lines,
+    _ledger,
+    _line_kinds,
     _record_event,
+    _scan_chunk,
+    _scan_records,
     resolve_jobs,
 )
 from repro.logsys.diagnostics import StreamDiagnostics
@@ -42,11 +50,22 @@ from repro.logsys.store import LogStore, iter_file_lines, partition_file, read_c
 RM = "hadoop-resourcemanager"
 NM = "hadoop-nodemanager-node01"
 EXEC = "container_1515715200000_0001_01_000002"
+APP = "application_1515715200000_0001"
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
-#: A tiny-chunk miner: every file is split into ~48-byte chunks, so a
-#: handful of log lines already exercises lines straddling partition
-#: points, chunks with no parsed record, and multi-chunk merges.
-TINY = dict(split_threshold=64, chunk_target=48)
+
+@contextmanager
+def tiny_chunks(target=48):
+    """Mine with every file split into ~``target``-byte chunks.
+
+    At 48 bytes a handful of log lines already exercises lines
+    straddling partition points, chunks with no parsed record, and
+    multi-chunk merges.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser_mod, "FAST_SPLIT_THRESHOLD", 64)
+        patch.setattr(parser_mod, "FAST_CHUNK_TARGET", target)
+        yield
 
 
 #: Line shapes the chunk classifier must read exactly as the reference
@@ -84,6 +103,70 @@ LINE_SHAPES = (
 )
 
 
+#: Per stream, ``(class, message)`` shapes that mostly yield events:
+#: a corpus of them is candidate-heavy, like the simulator's own logs.
+CANDIDATES = {
+    RM: (
+        ("x.RMAppImpl", f"{APP} State change from NEW to SUBMITTED on event = START"),
+        ("x.RMAppImpl", f"{APP} State change from SUBMITTED to ACCEPTED on event = APP_ACCEPTED"),
+        ("x.RMContainerImpl", f"{EXEC} Container Transitioned from NEW to ALLOCATED"),
+        ("x.RMContainerImpl", f"{EXEC} Container Transitioned from ALLOCATED to ACQUIRED"),
+        ("x.Other", "chatter"),
+    ),
+    NM: (
+        ("x.ContainerImpl", f"Container {EXEC} transitioned from NEW to LOCALIZING"),
+        ("x.ContainerImpl", f"Container {EXEC} transitioned from LOCALIZING to SCHEDULED"),
+        ("x.ContainerImpl", f"Container {EXEC} transitioned from SCHEDULED to RUNNING"),
+        ("x.Other", "chatter"),
+    ),
+    EXEC: (
+        ("x.Exec", "Got assigned task {task}"),
+        ("x.Exec", "Got assigned task {task}"),
+        ("x.Exec", "Task attempt_1515715200000_0001_m_00000{task}_0 is done"),
+        ("x.Exec", f"Registered ApplicationMaster for {APP}"),
+        ("x.Exec", f"SDCHECKER START_ALLO Will request 4 executor container(s) for {APP}"),
+        ("x.Exec", "Got assigned task slot on host node02"),
+        ("x.Exec", "chatter"),
+    ),
+}
+
+
+@st.composite
+def candidate_lines(draw, daemon):
+    """One stream's candidate-heavy lines: runs of equal milliseconds,
+    steps back in time, and exact duplicates of the previous line."""
+    shapes = CANDIDATES[daemon]
+    lines = []
+    millis = 30_000
+    for pick, task, step, repeat in draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(shapes) - 1),
+                st.integers(0, 9),
+                st.sampled_from((0, 0, 1, 7, -1)),
+                st.booleans(),
+            ),
+            max_size=30,
+        )
+    ):
+        millis += step
+        cls, message = shapes[pick]
+        line = (
+            f"2018-01-12 00:00:{millis // 1000:02d},{millis % 1000:03d} INFO "
+            f"{cls}: {message.format(task=task)}"
+        )
+        lines.extend([line, line] if repeat else [line])
+    return lines
+
+
+@pytest.fixture(scope="module")
+def miner():
+    """One miner for a module's examples, so its pool is started once."""
+    miner = LogMiner()
+    yield miner
+    miner.close()
+
+
 def _diag_dict(diagnostics):
     return json.dumps(
         {d: s.to_dict() for d, s in diagnostics.streams.items()}, sort_keys=True
@@ -98,13 +181,16 @@ def _reference(directory):
 def _assert_identical(directory):
     """Byte lane == reference, at jobs 1 and 4, whole-file and tiny chunks."""
     reference_events, reference_diag = _reference(directory)
-    for miner in (LogMiner(), LogMiner(**TINY)):
+    miner = LogMiner()
+    for chunks in (nullcontext, tiny_chunks):
         for jobs in (1, 4):
-            events, diag = miner.mine(directory, jobs=jobs)
+            with chunks():
+                events, diag = miner.mine(directory, jobs=jobs)
             assert events == reference_events, f"events differ (jobs={jobs})"
             assert _diag_dict(diag) == _diag_dict(reference_diag), (
                 f"diag differ (jobs={jobs})"
             )
+    miner.close()
     return reference_events
 
 
@@ -383,6 +469,28 @@ class TestFastPathIdentity:
         _assert_identical(tmp_path)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        streams=st.fixed_dictionaries({d: candidate_lines(d) for d in CANDIDATES}),
+        target=st.sampled_from((48, 160, 512)),
+    )
+    def test_candidate_heavy_chunks(self, tmp_path_factory, miner, streams, target):
+        """Event-dense streams, serially and at ``jobs=2``, whole files and
+        chunks: duplicates land inside a chunk and across its boundaries."""
+        directory = tmp_path_factory.mktemp("candidates")
+        for daemon, lines in streams.items():
+            _write(directory, f"{daemon}.log", lines)
+        reference_events, reference_diag = _reference(directory)
+        for chunks in (nullcontext(), tiny_chunks(target)):
+            with chunks:
+                for jobs in (1, 2):
+                    events, diag = miner.mine(directory, jobs=jobs)
+                    assert events == reference_events
+                    assert _diag_dict(diag) == _diag_dict(reference_diag)
+        first_tasks = [e for e in reference_events if e.kind is EventKind.FIRST_TASK]
+        assert len(first_tasks) <= 1
+
+
 class TestChunkClassifier:
     """The bulk classifier's quiet lines read exactly as the reference's."""
 
@@ -400,7 +508,7 @@ class TestChunkClassifier:
             for millis in range(1000)
         ]
         buf = "\n".join(lines).encode("ascii")
-        view, starts, _ends, quiet = _quiet_lines(buf, None)
+        view, starts, _ends, quiet, _clean = _line_kinds(buf, None)
         assert quiet.all()
         stamps = clean_timestamps(view, starts).tolist()
         for line, value in zip(lines, stamps):
@@ -426,7 +534,7 @@ class TestChunkClassifier:
             for d, h, m, s, ms in fields
         ]
         buf = "\n".join(lines).encode("ascii")
-        view, starts, _ends, quiet = _quiet_lines(buf, None)
+        view, starts, _ends, quiet, _clean = _line_kinds(buf, None)
         assert quiet.all()
         for line, value in zip(lines, clean_timestamps(view, starts).tolist()):
             assert float.hex(value) == float.hex(self._reference_ts(line))
@@ -438,13 +546,15 @@ class TestChunkClassifier:
         terminated=st.booleans(),
     )
     def test_quiet_lines_parse_to_the_same_record(self, picks, gate, terminated):
+        """Every clean line, quiet or a candidate, reads as the reference's."""
         buf = b"\n".join(LINE_SHAPES[i] for i in picks)
         if terminated and picks:
             buf += b"\n"
-        view, starts, ends, quiet = _quiet_lines(buf, gate)
+        view, starts, ends, quiet, clean = _line_kinds(buf, gate)
         assert [buf[s:e] for s, e in zip(starts.tolist(), ends.tolist())] == _byte_lines(buf)
-        lines = np.flatnonzero(quiet).tolist()
-        stamps = clean_timestamps(view, starts[quiet]).tolist()
+        assert not (quiet & ~clean).any()
+        lines = np.flatnonzero(clean).tolist()
+        stamps = clean_timestamps(view, starts[clean]).tolist()
         for line, ts in zip(lines, stamps):
             start, end = int(starts[line]), int(ends[line])
             record, _outcome = LogRecord.classify_parse(buf[start:end].decode("utf-8"))
@@ -452,8 +562,12 @@ class TestChunkClassifier:
             assert record is not None
             assert float.hex(ts) == float.hex(record.timestamp)
             assert (record.level, record.cls, record.message) == (level, cls, message)
-            # A quiet line never yields an event.
-            assert _record_event(EXEC, gate, "application_1_1000", ts, cls, message) is None
+            if quiet[line]:  # a quiet line never yields an event
+                assert _record_event(EXEC, gate, "application_1_1000", ts, cls, message) is None
+        # Clean means exactly: ASCII, and parsed by the reference reader.
+        for line, raw in enumerate(_byte_lines(buf)):
+            record, _outcome = LogRecord.classify_parse(raw.decode("utf-8", "replace"))
+            assert clean[line] == (raw.isascii() and record is not None)
 
     def test_every_chunk_of_a_container_log_is_bit_identical(self):
         # Chunks of every length from every starting line of a real
@@ -469,7 +583,7 @@ class TestChunkClassifier:
         ]
         chunks.append(lines[0] + b"2018-01-31 23:59:59,999 INFO C: m")
         for buf in chunks:
-            view, starts, ends, quiet = _quiet_lines(buf, "container")
+            view, starts, ends, quiet, _clean = _line_kinds(buf, "container")
             stamps = clean_timestamps(view, starts[quiet]).tolist()
             expected = [
                 LogRecord.classify_parse(buf[s:e].decode("utf-8"))[0].timestamp
@@ -479,14 +593,101 @@ class TestChunkClassifier:
         assert quiet[-1] and ends[-1] == len(buf)
 
     def test_no_clean_line_reads_no_timestamp(self):
-        view, starts, _ends, quiet = _quiet_lines(b"garbage\n", None)
+        view, starts, _ends, quiet, _clean = _line_kinds(b"garbage\n", None)
         assert clean_timestamps(view, starts[quiet]).tolist() == []
 
     def test_chatter_is_quiet_and_events_are_not(self):
         picks = [10, 11, 12, 13, 14, 7, 8, 5, 9, 3, 4]
         buf = b"".join(LINE_SHAPES[i] + b"\n" for i in picks)
-        quiet = _quiet_lines(buf, "container")[3].tolist()
+        quiet = _line_kinds(buf, "container")[3].tolist()
         assert quiet == [True] * 7 + [False] * 4
+
+
+class TestReferenceReach:
+    """Only an unclean line reaches the reference reader."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """The lines :meth:`LogRecord.classify_parse` reads from now on."""
+        calls = []
+        original = LogRecord.classify_parse
+
+        def spy(cls, line):
+            calls.append(line)
+            return original(line)
+
+        monkeypatch.setattr(LogRecord, "classify_parse", classmethod(spy))
+        return calls
+
+    def test_golden_corpus_reads_no_line_by_reference(self, monkeypatch):
+        # 137 lines: 26 quiet, 111 clean candidates, none unclean.
+        reference_events, reference_diag = _reference(GOLDEN)
+        calls = self._spy(monkeypatch)
+        events, diag = LogMiner().mine(GOLDEN)
+        assert calls == []
+        assert events == reference_events
+        assert _diag_dict(diag) == _diag_dict(reference_diag)
+
+    def test_only_unclean_lines_reach_the_reference(self, tmp_path, monkeypatch):
+        shutil.copytree(GOLDEN, tmp_path, dirs_exist_ok=True)
+        unclean = [
+            "2018-01-12 00:00:30 INFO x.Exec: Got assigned task 90",  # garbled
+            "2018-01-12 00:00:30,001 INFO x.Ex\u00e9c: Got assigned task 91",
+            "2018-02-12 00:00:30,002 INFO x.Exec: Got assigned task 92",
+        ]
+        with open(tmp_path / f"{EXEC}.log", "a", encoding="utf-8") as log:
+            log.write("".join(line + "\n" for line in unclean))
+        reference_events, reference_diag = _reference(tmp_path)
+        calls = self._spy(monkeypatch)
+        events, diag = LogMiner().mine(tmp_path)
+        assert calls == unclean
+        assert events == reference_events
+        assert _diag_dict(diag) == _diag_dict(reference_diag)
+        stream = diag.streams[EXEC]
+        assert (stream.dropped_garbled, stream.dropped_bad_timestamp) == (1, 1)
+
+
+class TestLedger:
+    """One ledger function counts duplicates and reorders for both scans."""
+
+    RECORDS = (
+        LogRecord(1.0, "x.C", "a"),
+        LogRecord(1.0, "x.C", "a"),  # duplicate
+        LogRecord(1.0, "x.C", "a"),  # duplicate, in a run of ties
+        LogRecord(1.0, "x.C", "b"),  # a tie: another message
+        LogRecord(1.0, "x.D", "b"),  # another class
+        LogRecord(1.0, "x.D", "b", level="WARN"),  # another level
+        LogRecord(0.5, "x.C", "a"),  # out of order
+        LogRecord(0.5, "x.C", "a"),  # duplicate
+        LogRecord(2.0, "x.Exec", "Got assigned task 1"),
+        LogRecord(2.0, "x.Exec", "Got assigned task 1"),  # duplicate event
+        LogRecord(1.75, "x.C", "z"),  # out of order
+    )
+
+    def test_ledger_reads_only_tied_keys(self):
+        reads = set()
+
+        def key(i):
+            reads.add(i)
+            return self.RECORDS[i]
+
+        times = np.array([record.timestamp for record in self.RECORDS])
+        assert _ledger(times, key) == (4, 2)
+        assert reads == set(range(10))  # not the last record, which ties nothing
+        assert _ledger(np.zeros(0), key) == (0, 0)
+
+    @pytest.mark.parametrize("gate", [None, "container"])
+    def test_both_scans_count_the_same_ledger(self, gate):
+        buf = "".join(record.render() + "\n" for record in self.RECORDS).encode("ascii")
+        chunk = _scan_chunk(EXEC, gate, buf)
+        records = _scan_records(EXEC, gate, self.RECORDS)
+        assert chunk[1] == (11, 11, 0, 0, 0, 4, 2)
+        assert chunk == records  # events, counters, first and last keys
+        # Scans pass every FIRST_TASK; the accumulator keeps the first.
+        tasks = [e for e in chunk[0] if e[0] == EventKind.FIRST_TASK.value]
+        assert len(tasks) == (2 if gate else 0)
+        acc = StreamEventAccumulator(EXEC, gate)
+        assert acc.absorb(chunk) == tasks[:1]
 
 
 class TestTwoWorkers:
@@ -499,9 +700,11 @@ class TestTwoWorkers:
     ]
 
     def _mine(self, directory):
-        miner = LogMiner(**TINY)
-        serial = miner.mine(directory)
-        parallel = miner.mine(directory, jobs=2)
+        miner = LogMiner()
+        with tiny_chunks():
+            serial = miner.mine(directory)
+            parallel = miner.mine(directory, jobs=2)
+        miner.close()
         reference = _reference(directory)
         for events, diag in (parallel, reference):
             assert events == serial[0]
@@ -554,7 +757,8 @@ class TestFirstEventIndexEquivalence:
                 "2018-01-12 00:00:05,000 INFO x.Exec: Got assigned task 0",
             ],
         )
-        fast_traces = group_events(LogMiner(**TINY).mine(tmp_path)[0])
+        with tiny_chunks():
+            fast_traces = group_events(LogMiner().mine(tmp_path)[0])
         reference_traces = group_events(_reference(tmp_path)[0])
         assert fast_traces.keys() == reference_traces.keys()
         for app_id in fast_traces:
