@@ -1,5 +1,9 @@
-# Developer entry points.  REPRO_SCALE=paper switches the benchmark
-# suite to the full section-IV trace sizes.
+# Developer entry points.  perfbench (python3 perfbench/run.py, the
+# workloads in BENCHMARK.json) does the timing; every file under
+# benchmarks/ is a check, and none writes a tracked file except the
+# paper-claims figures, which make paper-claims regenerates and
+# byte-checks.  REPRO_SCALE=paper switches the checks to the full
+# section-IV trace sizes.
 
 PYTHON ?= python
 
@@ -11,13 +15,7 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-paper:
-	REPRO_SCALE=paper $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# The paper's claims: every table/figure benchmark at small scale, each
+# The paper's claims: every table/figure check at small scale, each
 # asserting its shape claims, then a byte check that every regenerated
 # benchmarks/results file equals the committed one.  A change that moves
 # a figure row commits the new rows.
@@ -27,24 +25,35 @@ PAPER_CLAIMS = $(addprefix benchmarks/,test_fig4_overall.py test_fig5_input_size
 	test_fig13_cpu_interference.py test_table2_throughput.py test_table3_summary.py \
 	test_optimizations.py test_ablations.py)
 
+# The paper claims plus the simulator bars and the in-memory/directory
+# miner equivalence check, at small (bench) or paper (bench-paper) scale.
+BENCH_CHECKS = $(PAPER_CLAIMS) benchmarks/test_simulator_performance.py \
+	benchmarks/test_miner_throughput.py
+
+bench:
+	PYTHONPATH=src $(PYTHON) -m pytest $(BENCH_CHECKS)
+
+bench-paper:
+	REPRO_SCALE=paper PYTHONPATH=src $(PYTHON) -m pytest $(BENCH_CHECKS)
+
 paper-claims:
 	REPRO_SCALE=small PYTHONPATH=src $(PYTHON) -m pytest $(PAPER_CLAIMS) -q
 	git diff --exit-code benchmarks/results/
 
-# Miner throughput only (in-memory store vs directory, serial vs
-# parallel); appends a trajectory point to benchmarks/results/BENCH_miner.json.
+# Miner equivalence (in-memory store vs directory, serial vs parallel,
+# events and ledgers), with the parallel-speedup bar where CPUs allow.
 bench-miner:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_miner_throughput.py -q -s
 
-# Miner benchmark at multi-GB scale: generates a seeded corpus straight
-# to disk and times serial vs --jobs 4 mining over the same bytes.
-# Size with REPRO_LARGE_MB (default 2048); appends a point to
-# benchmarks/results/BENCH_miner.json.
+# Miner check at multi-GB scale: generates a seeded corpus straight
+# to disk, and asserts serial and --jobs 4 mine the same events and
+# that --jobs 4 is faster on 2+ CPUs.  Size with REPRO_LARGE_MB
+# (default 2048).
 bench-miner-large:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_miner_large.py -q -s
 
-# Live-mining ingest + query-latency benchmark; appends a trajectory
-# point to benchmarks/results/BENCH_live.json.
+# Live mining: drained live report == batch, plus the ingest floor and
+# the query-latency ceiling under concurrent clients.
 bench-live:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_live_throughput.py -q -s
 
@@ -75,9 +84,8 @@ scenario-smoke:
 calibrate-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_calibrate_cli.py tests/test_calibrate_fit.py::TestSelfFit tests/test_calibrate_fit.py::TestGoldenFit -q
 
-# Calibration trial throughput (trials/s, serial vs --jobs) with the
-# CPU-gated parallel-speedup assertion; appends a trajectory point to
-# benchmarks/results/BENCH_calibrate.json.
+# Calibration: serial and --jobs fits give byte-identical artifacts,
+# the baseline self-fits to 0, and the CPU-gated parallel-speedup bar.
 bench-calibrate:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_calibrate_throughput.py -q -s
 
@@ -121,5 +129,5 @@ sanitize:
 # Caches only — benchmarks/results and src/repro.egg-info are committed
 # and must survive a clean.
 clean:
-	rm -rf .pytest_cache .hypothesis .benchmarks
+	rm -rf .pytest_cache .hypothesis
 	find . -name __pycache__ -type d -exec rm -rf {} +

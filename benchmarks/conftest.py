@@ -1,10 +1,14 @@
-"""Benchmark harness configuration.
+"""Configuration of the checks under ``benchmarks/``.
 
-Every benchmark regenerates one of the paper's tables or figures: it
-runs the full pipeline (simulate the cluster -> render logs -> mine
-with SDchecker -> aggregate) once, asserts the paper's *shape* claims
-(who wins, rough factors, monotonicity), and records the rows —
-both to stdout and to ``benchmarks/results/<name>.txt``.
+Every file here is a check; perfbench (``BENCHMARK.json``) does the
+timing.  Thirteen files regenerate one of the paper's tables or
+figures each: they run the full pipeline (simulate the cluster ->
+render logs -> mine with SDchecker -> aggregate) once, assert the
+paper's *shape* claims (who wins, rough factors, monotonicity), and
+record the rows, both to stdout and to ``benchmarks/results/<name>.txt``
+(``make paper-claims``).  The rest re-check the miner, live, calibration
+and simulator contracts at scale under loose speed bars, and write no
+file.
 
 Scale is controlled by the ``REPRO_SCALE`` environment variable:
 ``small`` (default; minutes for the whole suite) or ``paper`` (the full

@@ -28,17 +28,19 @@ from typing import Dict, List, TextIO, Tuple
 
 from repro.logsys.record import format_timestamp
 
-__all__ = ["generate_large_corpus", "DEFAULT_SEED"]
+__all__ = ["generate_large_corpus", "DEFAULT_SEED", "EXECUTORS_PER_APP", "EXEC_CHATTER"]
 
 DEFAULT_SEED = 20180112
 
-_EXECUTORS_PER_APP = 4
+EXECUTORS_PER_APP = 4
 _NM_HOSTS = 7
 
 #: Executor chatter — the noise floor real throughput is decided by.
-#: Same shapes as the throughput benchmark, including the near-miss
-#: lines that share a literal prefix with a real message.
-_EXEC_CHATTER = (
+#: The throughput corpus (``test_miner_throughput.py``) draws from this
+#: table too.  The last two are near misses: they share a literal
+#: prefix with a real message but fail its body, so the miner's
+#: alternation (not just its gate) gets exercised.
+EXEC_CHATTER = (
     "Starting executor heartbeat thread",
     "Finished task 3.0 in stage 1.0 (TID 7) in 23 ms on node02 (1/4)",
     "Running task 1.0 in stage 2.0 (TID 11)",
@@ -133,7 +135,7 @@ def generate_large_corpus(
             app = f"application_1515715200000_{i:04d}"
             containers = [
                 f"container_1515715200000_{i:04d}_01_{c:06d}"
-                for c in range(1, _EXECUTORS_PER_APP + 2)
+                for c in range(1, EXECUTORS_PER_APP + 2)
             ]
             am, executors = containers[0], containers[1:]
             emit(rm, "x.RMAppImpl", f"{app} State change from NEW to SUBMITTED on event = START")
@@ -151,8 +153,8 @@ def generate_large_corpus(
             emit_stream(am, [
                 ("org.apache.spark.deploy.yarn.ApplicationMaster", "Preparing Local resources"),
                 ("org.apache.spark.deploy.yarn.ApplicationMaster", f"Registered ApplicationMaster for {app}"),
-                ("org.apache.spark.deploy.yarn.YarnAllocator", f"SDCHECKER START_ALLO Will request {_EXECUTORS_PER_APP} executor container(s) for {app}"),
-                ("org.apache.spark.deploy.yarn.YarnAllocator", f"SDCHECKER END_ALLO All requested containers allocated for {app} ({_EXECUTORS_PER_APP} granted)"),
+                ("org.apache.spark.deploy.yarn.YarnAllocator", f"SDCHECKER START_ALLO Will request {EXECUTORS_PER_APP} executor container(s) for {app}"),
+                ("org.apache.spark.deploy.yarn.YarnAllocator", f"SDCHECKER END_ALLO All requested containers allocated for {app} ({EXECUTORS_PER_APP} granted)"),
             ])
             for j, cid in enumerate(executors):
                 records: List[Tuple[str, str]] = [(
@@ -166,7 +168,7 @@ def generate_large_corpus(
                 for k in range(_NOISE_PER_EXECUTOR):
                     if k == task_at:
                         records.append((chatter, f"Got assigned task {j}"))
-                    records.append((chatter, rng.choice(_EXEC_CHATTER)))
+                    records.append((chatter, rng.choice(EXEC_CHATTER)))
                 emit_stream(cid, records)
             emit(rm, "x.RMAppImpl", f"{app} State change from RUNNING to FINISHED on event = ATTEMPT_FINISHED")
     finally:

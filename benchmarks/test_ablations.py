@@ -8,10 +8,8 @@ noise.
 from repro.experiments.ablations import run_ablation_study
 
 
-def test_mechanism_ablations(benchmark, scale, seed, record_rows):
-    result = benchmark.pedantic(
-        run_ablation_study, args=(scale, seed), rounds=1, iterations=1
-    )
+def test_mechanism_ablations(scale, seed, record_rows):
+    result = run_ablation_study(scale, seed)
     record_rows("ablations", result.rows())
 
     # Fig 12's localization collapse is carried by write-pressure cache

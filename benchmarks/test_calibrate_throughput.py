@@ -1,9 +1,9 @@
 """Calibration trial throughput, serial vs parallel.
 
 Times one self-calibration ``fit`` on the diurnal-burst preset at
-``jobs=1`` and ``jobs=4`` — each trial is a full simulate → dump →
-mine → score cycle — and records trials/s for both into
-``benchmarks/results/BENCH_calibrate.json``.
+``jobs=1`` and ``jobs=4`` — each trial is a full simulate → mine →
+score cycle — and compares trials/s for both.  perfbench's
+``calibrate-fit`` workload records trial throughput.
 
 Bars (all modes, including the ``REPRO_BENCH_SMOKE=1`` CI job):
 
@@ -19,30 +19,16 @@ Bars (all modes, including the ``REPRO_BENCH_SMOKE=1`` CI job):
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.calibrate import fit
-
-RESULTS_DIR = Path(__file__).parent / "results"
-BENCH_FILE = RESULTS_DIR / "BENCH_calibrate.json"
 
 _PARALLEL_JOBS = 4
 
 #: Search sizes per mode: (grid_limit, random_trials).  Trial count is
 #: 1 (baseline) + grid + random.
 _SEARCH = {"smoke": (0, 3), "small": (6, 9), "paper": (12, 19)}
-
-
-def _record_point(point: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    history = []
-    if BENCH_FILE.exists():
-        history = json.loads(BENCH_FILE.read_text(encoding="utf-8"))
-    history.append(point)
-    BENCH_FILE.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
 
 
 def _timed_fit(jobs: int, grid_limit: int, random_trials: int):
@@ -80,22 +66,6 @@ def test_calibrate_throughput(scale):
     )
 
     cpus = os.cpu_count() or 1
-    point = {
-        "mode": mode,
-        "scenario": "diurnal-burst",
-        "trials": trials,
-        "cpus": cpus,
-        "jobs_parallel": _PARALLEL_JOBS,
-        "serial_trials_per_s": round(serial_tps, 3),
-        "parallel_trials_per_s": round(parallel_tps, 3),
-        "speedup": round(parallel_tps / serial_tps, 2)
-        if serial_tps > 0
-        else None,
-    }
-    _record_point(point)
-    print()
-    print(json.dumps(point))
-
     if cpus >= 2 and mode != "smoke":
         # Spawn overhead amortizes over a real trial count: two cores
         # must not lose to one (5% timer allowance).

@@ -10,8 +10,8 @@ cuts seconds off the tail (paper: ~2 s).
 from repro.experiments.fig11 import FIG11B_VARIANTS, run_fig11
 
 
-def test_fig11_in_application_delay(benchmark, scale, seed, record_rows):
-    result = benchmark.pedantic(run_fig11, args=(scale, seed), rounds=1, iterations=1)
+def test_fig11_in_application_delay(scale, seed, record_rows):
+    result = run_fig11(scale, seed)
     record_rows("fig11", result.rows())
 
     wc = result.by_workload["wordcount"]

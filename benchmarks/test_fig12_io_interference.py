@@ -10,8 +10,8 @@ the writer count.
 from repro.experiments.fig12 import FIG12_MAP_COUNTS, run_fig12
 
 
-def test_fig12_io_interference(benchmark, scale, seed, record_rows):
-    result = benchmark.pedantic(run_fig12, args=(scale, seed), rounds=1, iterations=1)
+def test_fig12_io_interference(scale, seed, record_rows):
+    result = run_fig12(scale, seed)
     record_rows("fig12", result.rows())
 
     strongest = max(FIG12_MAP_COUNTS)

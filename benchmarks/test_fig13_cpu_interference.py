@@ -10,8 +10,8 @@ its only CPU-bound parts).
 from repro.experiments.fig13 import FIG13_KMEANS_COUNTS, run_fig13
 
 
-def test_fig13_cpu_interference(benchmark, scale, seed, record_rows):
-    result = benchmark.pedantic(run_fig13, args=(scale, seed), rounds=1, iterations=1)
+def test_fig13_cpu_interference(scale, seed, record_rows):
+    result = run_fig13(scale, seed)
     record_rows("fig13", result.rows())
 
     strongest = max(FIG13_KMEANS_COUNTS)

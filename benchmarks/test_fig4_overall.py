@@ -10,8 +10,8 @@ Paper claims checked (shape, not absolute values):
 from repro.experiments.fig4 import FIG4_METRICS, run_fig4
 
 
-def test_fig4_overall_delays(benchmark, scale, seed, record_rows):
-    result = benchmark.pedantic(run_fig4, args=(scale, seed), rounds=1, iterations=1)
+def test_fig4_overall_delays(scale, seed, record_rows):
+    result = run_fig4(scale, seed)
     record_rows("fig4", result.rows())
 
     total = result.samples["total_delay"]

@@ -9,8 +9,8 @@ on scheduling).
 from repro.experiments.fig5 import run_fig5
 
 
-def test_fig5_input_size_sweep(benchmark, scale, seed, record_rows):
-    result = benchmark.pedantic(run_fig5, args=(scale, seed), rounds=1, iterations=1)
+def test_fig5_input_size_sweep(scale, seed, record_rows):
+    result = run_fig5(scale, seed)
     record_rows("fig5", result.rows())
 
     labels = list(result.series)

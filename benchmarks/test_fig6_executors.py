@@ -8,8 +8,8 @@ between the first and last container launch.
 from repro.experiments.fig6 import FIG6_EXECUTORS, run_fig6
 
 
-def test_fig6_executor_sweep(benchmark, scale, seed, record_rows):
-    result = benchmark.pedantic(run_fig6, args=(scale, seed), rounds=1, iterations=1)
+def test_fig6_executor_sweep(scale, seed, record_rows):
+    result = run_fig6(scale, seed)
     record_rows("fig6", result.rows())
 
     spreads = [result.series[n]["cl_cf"].p50 for n in FIG6_EXECUTORS]

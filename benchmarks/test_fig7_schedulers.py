@@ -10,8 +10,8 @@ MapReduce heartbeat at every load level.
 from repro.experiments.fig7 import run_fig7
 
 
-def test_fig7_scheduler_comparison(benchmark, scale, seed, record_rows):
-    result = benchmark.pedantic(run_fig7, args=(scale, seed), rounds=1, iterations=1)
+def test_fig7_scheduler_comparison(scale, seed, record_rows):
+    result = run_fig7(scale, seed)
     record_rows("fig7", result.rows())
 
     # (a) distributed wins by at least an order of magnitude.

@@ -9,8 +9,8 @@ localizations persist at every size (the paper's bimodality).
 from repro.experiments.fig8 import run_fig8
 
 
-def test_fig8_localization_sweep(benchmark, scale, seed, record_rows):
-    result = benchmark.pedantic(run_fig8, args=(scale, seed), rounds=1, iterations=1)
+def test_fig8_localization_sweep(scale, seed, record_rows):
+    result = run_fig8(scale, seed)
     record_rows("fig8", result.rows())
 
     labels = list(result.series)

@@ -9,8 +9,8 @@ adds a few hundred milliseconds at the median and more at the tail
 from repro.experiments.fig9 import INSTANCE_TYPES, run_fig9
 
 
-def test_fig9_launching_delays(benchmark, scale, seed, record_rows):
-    result = benchmark.pedantic(run_fig9, args=(scale, seed), rounds=1, iterations=1)
+def test_fig9_launching_delays(scale, seed, record_rows):
+    result = run_fig9(scale, seed)
     record_rows("fig9", result.rows())
 
     by_type = result.by_instance_type

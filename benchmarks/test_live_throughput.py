@@ -4,8 +4,8 @@ Feeds the synthetic multi-application corpus (shared with the miner
 benchmark) through a :class:`~repro.live.incremental.LiveSession` in
 poll-sized increments, measuring sustained ingest lines/s, then serves
 the session and hammers it from concurrent client threads to measure
-p99 query latency.  Appends a trajectory point to
-``benchmarks/results/BENCH_live.json``.
+p99 query latency.  The numbers only feed the bars below; perfbench's
+``live-serve`` workload records ingest and query latency.
 
 Bars (all modes, including the ``REPRO_BENCH_SMOKE=1`` CI job):
 
@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks.test_miner_throughput import build_corpus, corpus_apps
+from benchmarks.test_miner_throughput import build_corpus
 from repro.core.checker import SDChecker
 from repro.live import (
     LiveClient,
@@ -37,9 +37,6 @@ from repro.live import (
     report_from_state_payload,
     serve_in_thread,
 )
-
-RESULTS_DIR = Path(__file__).parent / "results"
-BENCH_FILE = RESULTS_DIR / "BENCH_live.json"
 
 #: Ingest increments: the corpus arrives over this many poll rounds.
 _POLL_ROUNDS = 16
@@ -61,15 +58,6 @@ _DRAINS_PER_SIDE = 5
 #: on 2 vCPUs).
 _MIN_INGEST_LPS = {"smoke": 3_000, "small": 30_000, "paper": 30_000}
 _MAX_QUERY_P99_S = 0.5
-
-
-def _record_point(point: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    history = []
-    if BENCH_FILE.exists():
-        history = json.loads(BENCH_FILE.read_text(encoding="utf-8"))
-    history.append(point)
-    BENCH_FILE.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
 
 
 def _grow_in_rounds(src_dir: Path, live_dir: Path, rounds: int):
@@ -157,24 +145,7 @@ def test_live_throughput(scale, tmp_path):
     finally:
         handle.stop()
     flat = np.array([sample for batch in latencies for sample in batch])
-    p50_s = float(np.percentile(flat, 50))
     p99_s = float(np.percentile(flat, 99))
-
-    point = {
-        "mode": mode,
-        "corpus_lines": lines,
-        "apps": corpus_apps(mode),
-        "cpus": os.cpu_count() or 1,
-        "poll_rounds": _POLL_ROUNDS,
-        "ingest_lps": round(ingest_lps),
-        "query_clients": clients,
-        "queries_total": int(flat.size),
-        "query_p50_ms": round(p50_s * 1000, 2),
-        "query_p99_ms": round(p99_s * 1000, 2),
-    }
-    _record_point(point)
-    print()
-    print(json.dumps(point))
 
     # The smoke-mode bars CI enforces on every push.
     floor = _MIN_INGEST_LPS[mode]
@@ -218,7 +189,7 @@ def _timed_sharded_drain(shard_dirs, shards: int):
 def test_sharded_ingest_scaling(scale, tmp_path):
     """Sharded drain throughput vs a single worker, same methodology.
 
-    Records ``sharded_ingest_lps`` next to the single-process number and
+    Compares sharded ingest lines/s with the single-process number and
     re-checks the sharded byte-identity contract at benchmark scale.
     Each side's number is the median of ``_DRAINS_PER_SIDE`` drains,
     timed alternately.  The speedup assertions are gated on the runner's
@@ -254,19 +225,6 @@ def test_sharded_ingest_scaling(scale, tmp_path):
     )
 
     cpus = os.cpu_count() or 1
-    point = {
-        "mode": mode,
-        "corpus_lines": lines,
-        "shards": _SHARDS,
-        "cpus": cpus,
-        "single_ingest_lps": round(single_lps),
-        "sharded_ingest_lps": round(sharded_lps),
-        "drains_per_side": _DRAINS_PER_SIDE,
-    }
-    _record_point(point)
-    print()
-    print(json.dumps(point))
-
     if cpus >= 2:
         # Never slower than one process (5% allowance for timer noise).
         assert sharded_lps >= single_lps * 0.95, (

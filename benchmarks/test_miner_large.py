@@ -18,20 +18,18 @@ Corpus size defaults to 2 GiB and is overridden with ``REPRO_LARGE_MB``
 (e.g. ``REPRO_LARGE_MB=512 make bench-miner-large``); the
 ``REPRO_BENCH_SMOKE=1`` CI job pins ~8 MiB, just past
 ``FAST_SPLIT_THRESHOLD`` so chunk splitting and the parallel pool still
-engage.  Every point appended to ``BENCH_miner.json`` records the
-corpus bytes and the CPU count, so a slow number on a 1-CPU runner
-reads as what it is.
+engage.  perfbench's ``logdir-mine`` workload records throughput on
+this generator's corpus; this file only checks it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 from repro.core.parser import LogMiner, available_cpus
 
 from benchmarks.corpus_large import DEFAULT_SEED, generate_large_corpus
-from benchmarks.test_miner_throughput import _record_point, _time_best
+from benchmarks.test_miner_throughput import _time_best
 
 _SMOKE_MB = 8
 _DEFAULT_LARGE_MB = 2048
@@ -45,14 +43,11 @@ def _target_mb(smoke: bool) -> int:
 
 def test_miner_large_corpus(tmp_path):
     smoke = bool(os.environ.get("REPRO_BENCH_SMOKE"))
-    mode = "large-smoke" if smoke else "large"
     target_mb = _target_mb(smoke)
     rounds = 3 if smoke else 2
 
     logdir = tmp_path / "large-corpus"
-    corpus_bytes, corpus_lines = generate_large_corpus(
-        logdir, target_mb * 1024 * 1024, seed=DEFAULT_SEED
-    )
+    generate_large_corpus(logdir, target_mb * 1024 * 1024, seed=DEFAULT_SEED)
 
     miner = LogMiner()
 
@@ -68,20 +63,6 @@ def test_miner_large_corpus(tmp_path):
     assert parallel_events == serial_events
 
     cpus = available_cpus()
-    point = {
-        "mode": mode,
-        "corpus_bytes": corpus_bytes,
-        "corpus_lines": corpus_lines,
-        "cpus": cpus,
-        "serial_lps": round(corpus_lines / serial_s),
-        "parallel_lps": round(corpus_lines / parallel_s),
-        "parallel_jobs": 4,
-        "parallel_ratio": round(serial_s / parallel_s, 2) if parallel_s > 0 else 0.0,
-    }
-    _record_point(point)
-    print()
-    print(json.dumps(point))
-
     if cpus >= 2:
         assert parallel_s < serial_s, (
             f"--jobs 4 ({parallel_s:.3f}s) lost to serial "

@@ -9,10 +9,8 @@ delay).
 from repro.experiments.optimizations import run_optimization_study
 
 
-def test_proposed_optimizations(benchmark, scale, seed, record_rows):
-    result = benchmark.pedantic(
-        run_optimization_study, args=(scale, seed), rounds=1, iterations=1
-    )
+def test_proposed_optimizations(scale, seed, record_rows):
+    result = run_optimization_study(scale, seed)
     record_rows("optimizations", result.rows())
 
     # JVM reuse cuts driver and executor delay (Table III rows 5-6).

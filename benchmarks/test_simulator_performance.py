@@ -1,4 +1,4 @@
-"""Performance benchmarks of the library itself.
+"""Performance bars of the library itself.
 
 Not a paper figure: these keep the simulator and the miner honest as
 code evolves (the optimization guide's "no optimization without
@@ -17,8 +17,10 @@ from repro.simul.resources import FairShareResource
 from repro.workloads.scenarios.presets import get_scenario
 from repro.workloads.scenarios.scenario import Scenario, trace_recipe
 
+from benchmarks.test_miner_throughput import _time
 
-def test_event_loop_throughput(benchmark):
+
+def test_event_loop_throughput():
     """Raw DES kernel: ping-pong timeouts."""
 
     def run():
@@ -32,13 +34,13 @@ def test_event_loop_throughput(benchmark):
         sim.run()
         return sim.now
 
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result, seconds = _time(run)
     assert result > 0
     # 50k events should take well under 5 seconds on any machine.
-    assert benchmark.stats.stats.max < 5.0
+    assert seconds < 5.0
 
 
-def test_fair_share_churn(benchmark):
+def test_fair_share_churn():
     """Processor-sharing bookkeeping under heavy membership churn."""
 
     def run():
@@ -54,38 +56,27 @@ def test_fair_share_churn(benchmark):
         sim.run()
         return res.active_jobs
 
-    remaining = benchmark.pedantic(run, rounds=1, iterations=1)
+    remaining, seconds = _time(run)
     assert remaining == 0
-    assert benchmark.stats.stats.max < 20.0
+    assert seconds < 20.0
 
 
-def test_trace_simulation_rate(benchmark):
+def test_trace_simulation_rate():
     """End-to-end: queries simulated per wall-clock second."""
-
-    def run():
-        t0 = time.perf_counter()
-        result = trace_recipe(50, seed=99).run()
-        wall = time.perf_counter() - t0
-        return len(result.report) / wall
-
-    rate = benchmark.pedantic(run, rounds=1, iterations=1)
+    result, wall = _time(lambda: trace_recipe(50, seed=99).run())
+    rate = len(result.report) / wall
     # The 200-query figures must stay interactive: >= 2 queries/s.
     assert rate > 2.0
 
 
-def test_miner_throughput(benchmark):
+def test_miner_throughput():
     """SDchecker parse rate over a realistic log collection."""
     bed = trace_recipe(40, seed=98).run().testbed
     lines = sum(len(bed.log_store.records(d)) for d in bed.log_store.daemons)
 
-    def run():
-        t0 = time.perf_counter()
-        report = SDChecker().analyze(bed.log_store)
-        wall = time.perf_counter() - t0
-        assert len(report) == 40
-        return lines / wall
-
-    rate = benchmark.pedantic(run, rounds=1, iterations=1)
+    report, wall = _time(SDChecker().analyze, bed.log_store)
+    assert len(report) == 40
+    rate = lines / wall
     assert rate > 5_000  # lines/second
 
 

@@ -8,8 +8,8 @@ load — the Capacity Scheduler's batch allocation is not the bottleneck
 from repro.experiments.table2 import run_table2
 
 
-def test_table2_allocation_throughput(benchmark, scale, seed, record_rows):
-    result = benchmark.pedantic(run_table2, args=(scale, seed), rounds=1, iterations=1)
+def test_table2_allocation_throughput(scale, seed, record_rows):
+    result = run_table2(scale, seed)
     record_rows("table2", result.rows())
 
     throughput = result.throughput

@@ -9,8 +9,8 @@ acquisition/localization/launching < 1% each, allocation ~2%).
 from repro.experiments.table3 import run_table3
 
 
-def test_table3_component_contributions(benchmark, scale, seed, record_rows):
-    result = benchmark.pedantic(run_table3, args=(scale, seed), rounds=1, iterations=1)
+def test_table3_component_contributions(scale, seed, record_rows):
+    result = run_table3(scale, seed)
     record_rows("table3", result.rows())
 
     crit = result.critical_path

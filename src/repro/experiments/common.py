@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
-
-from repro.core.stats import DelaySample
-
-__all__ = ["Scale", "resolve_scale", "SeriesTable"]
+__all__ = ["Scale", "resolve_scale"]
 
 
 #: Experiment scale presets: "small" runs in seconds for CI/benchmarks,
@@ -21,42 +16,3 @@ def resolve_scale(scale: Scale, small: int, paper: int) -> int:
     if scale not in _SCALES:
         raise ValueError(f"unknown scale {scale!r} (choose from {_SCALES})")
     return small if scale == "small" else paper
-
-
-@dataclass
-class SeriesTable:
-    """Rows of (label, {column: DelaySample}) ready to print.
-
-    The textual output mirrors what each paper figure plots: one row
-    per sweep point, one column per delay metric, with median/p95 —
-    the statistics the paper calls out.
-    """
-
-    title: str
-    columns: List[str]
-    rows: List[tuple] = field(default_factory=list)
-
-    def add_row(self, label: str, samples: Dict[str, DelaySample]) -> None:
-        self.rows.append((label, samples))
-
-    def render(self) -> str:
-        header = f"{'':16s}" + "".join(
-            f"{c + ' med':>12s}{c + ' p95':>12s}" for c in self.columns
-        )
-        lines = [self.title, header]
-        for label, samples in self.rows:
-            cells = []
-            for column in self.columns:
-                sample = samples.get(column)
-                if sample is None or not sample:
-                    cells.append(f"{'n/a':>12s}{'n/a':>12s}")
-                else:
-                    cells.append(f"{sample.p50:12.2f}{sample.p95:12.2f}")
-            lines.append(f"{label:16s}" + "".join(cells))
-        return "\n".join(lines)
-
-    def sample(self, label: str, column: str) -> DelaySample:
-        for row_label, samples in self.rows:
-            if row_label == label:
-                return samples[column]
-        raise KeyError(f"no row {label!r}")

@@ -15,16 +15,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.checker import SDChecker
 from repro.core.stats import DelaySample
 from repro.experiments.common import resolve_scale
+from repro.experiments.harness import MemoryLoad, holding_map_body
 from repro.mapreduce.application import MapReduceApplication
-from repro.simul.engine import Event
 from repro.testbed import Testbed
 from repro.workloads.scenarios import trace_recipe
-from repro.yarn.app import ContainerContext
 
 __all__ = [
     "Fig7Result",
@@ -57,35 +56,6 @@ def run_fig7a(
 # ---------------------------------------------------------------------------
 # (b) queueing delay in a highly loaded cluster
 # ---------------------------------------------------------------------------
-def _holding_map_body(duration_median: float):
-    """A map task that mostly just occupies its container."""
-
-    def body(
-        app: MapReduceApplication, ctx: ContainerContext, index: int
-    ) -> Generator[Event, Any, None]:
-        rng = ctx.services.rng.child(f"hold.{ctx.container_id}")
-        duration = rng.lognormal_median(duration_median, 0.15)
-        yield ctx.node.cpu.submit(duration * 0.1, demand=1.0)
-        yield ctx.sim.timeout(duration * 0.9)
-
-    return body
-
-
-def _submit_memory_load(
-    bed: Testbed, hold_fraction: float, duration_median: float
-) -> None:
-    """One MR job whose maps pin ``hold_fraction`` of cluster memory."""
-    capacity = bed.cluster.total_memory_mb() // bed.params.map_container_memory_mb
-    num_maps = max(1, int(capacity * hold_fraction))
-    bed.submit(
-        MapReduceApplication(
-            "memory-load",
-            num_maps=num_maps,
-            map_body=_holding_map_body(duration_median),
-        )
-    )
-
-
 def run_fig7b(scale: str = "small", seed: int = 0) -> Dict[str, DelaySample]:
     """{'ce': ..., 'de': ...} NM queueing-delay samples under load.
 
@@ -94,12 +64,6 @@ def run_fig7b(scale: str = "small", seed: int = 0) -> Dict[str, DelaySample]:
     subtracted, isolating the waiting component.
     """
     n_queries = resolve_scale(scale, small=12, paper=40)
-    hold = 0.98
-    duration = 55.0
-
-    def interference(bed: Testbed) -> None:
-        _submit_memory_load(bed, hold, duration)
-
     samples: Dict[str, DelaySample] = {}
     # Unloaded reference: the intrinsic launch time to subtract.
     reference = (
@@ -110,7 +74,7 @@ def run_fig7b(scale: str = "small", seed: int = 0) -> Dict[str, DelaySample]:
             n_queries,
             seed=seed,
             scheduler=scheduler,
-            interference=interference,
+            interference=MemoryLoad(0.98, 55.0),
             warmup_s=25.0,
             mean_interarrival_s=4.0,
         )
@@ -140,7 +104,7 @@ def run_mr_load(
         MapReduceApplication(
             f"wordcount-load-{int(load_fraction * 100)}",
             num_maps=num_maps,
-            map_body=_holding_map_body(duration_median),
+            map_body=holding_map_body(duration_median),
         )
     )
     bed.run_until_all_finished(limit=50_000)

@@ -1,7 +1,7 @@
 """Generator-based discrete-event simulation kernel.
 
 The kernel follows the classic event-loop design: a binary heap of
-``(time, priority, sequence, event)`` entries, an ``Event`` type with
+``(time, sequence, event)`` entries, an ``Event`` type with
 success/failure payloads and callback lists, and a ``Process`` type that
 drives a Python generator by resuming it with the value of whatever event
 it last yielded.
@@ -27,9 +27,6 @@ __all__ = [
     "AnyOf",
     "Simulator",
 ]
-
-#: Priority of every scheduled event (the second heap-tuple field).
-NORMAL = 1
 
 #: Sentinel for "no value yet".
 _PENDING = object()
@@ -111,7 +108,7 @@ class Event:
         self._value = value
         self._ok = True
         sim = self.sim
-        heappush(sim._heap, (sim._now + delay, NORMAL, next(sim._seq), self))
+        heappush(sim._heap, (sim._now + delay, next(sim._seq), self))
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -125,15 +122,8 @@ class Event:
         self._value = exc
         self._ok = False
         sim = self.sim
-        heappush(sim._heap, (sim._now + delay, NORMAL, next(sim._seq), self))
+        heappush(sim._heap, (sim._now + delay, next(sim._seq), self))
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Chain-trigger: adopt the outcome of another event."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
@@ -158,7 +148,7 @@ class Timeout(Event):
         self._ok = True
         self.defused = False
         self.delay = delay
-        heappush(sim._heap, (sim._now + delay, NORMAL, next(sim._seq), self))
+        heappush(sim._heap, (sim._now + delay, next(sim._seq), self))
 
 
 class Process(Event):
@@ -368,7 +358,7 @@ class Simulator:
     # -- execution -------------------------------------------------------
     def step(self) -> None:
         """Process exactly one event from the heap."""
-        when, _prio, _seq, event = heappop(self._heap)
+        when, _seq, event = heappop(self._heap)
         self._now = when
         callbacks, event.callbacks = event.callbacks, None
         for cb in callbacks:

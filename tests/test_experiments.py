@@ -12,9 +12,8 @@ import pickle
 
 import pytest
 
-from repro.core.stats import DelaySample
-from repro.experiments.common import SeriesTable, resolve_scale
-from repro.experiments.harness import DfsioLoad, KmeansLoad
+from repro.experiments.common import resolve_scale
+from repro.experiments.harness import DfsioLoad, KmeansLoad, MemoryLoad
 from repro.experiments.table2 import allocation_throughput
 from repro.experiments.table3 import critical_path_shares
 from repro.params import GB
@@ -28,16 +27,6 @@ class TestCommon:
         assert resolve_scale("paper", 10, 100) == 100
         with pytest.raises(ValueError):
             resolve_scale("huge", 10, 100)
-
-    def test_series_table_render(self):
-        table = SeriesTable("t", columns=["x"])
-        table.add_row("a", {"x": DelaySample([1.0, 2.0, 3.0])})
-        table.add_row("b", {"x": DelaySample([])})
-        text = table.render()
-        assert "a" in text and "n/a" in text
-        assert table.sample("a", "x").p50 == 2.0
-        with pytest.raises(KeyError):
-            table.sample("zz", "x")
 
 
 class TestTraceRecipe:
@@ -99,7 +88,7 @@ class TestTraceRecipe:
 
     def test_interference_hooks_pickle_and_compare_by_value(self):
         base = trace_recipe(3, seed=1)
-        for hook in (DfsioLoad(4), KmeansLoad(2)):
+        for hook in (DfsioLoad(4), KmeansLoad(2), MemoryLoad(0.98, 55.0)):
             scenario = base.variant(interference=hook)
             assert pickle.loads(pickle.dumps(scenario)) == scenario
         assert base.variant(interference=DfsioLoad(4)) == base.variant(
