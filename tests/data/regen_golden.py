@@ -24,6 +24,10 @@ It rebuilds, fully deterministically:
   submitted apps' names, users and queues, the SHA-256 of the dumped
   logs, and the measured report.  ``tests/data/trace_replay.csv`` is
   the trace file the replay run reads;
+* ``tests/data/graph_expected.json``  — the golden app's scheduling
+  graph (its DOT text verbatim and its critical path) and, for every
+  app of every scenario pack, the SHA-256 of its DOT text and of the
+  ``repr`` of its critical path;
 * ``tests/data/calibrate_diurnal_burst_fitted.json``  — one small
   calibration self-fit on the diurnal-burst preset (seed 7, 2 grid +
   2 random trials), the byte-pinned fitted-model artifact
@@ -45,6 +49,39 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 TRACE_CSV = HERE / "trace_replay.csv"
+GRAPH_EXPECTED = HERE / "graph_expected.json"
+
+
+def golden_graph(traces) -> dict:
+    """The one golden app's scheduling graph, byte for byte: its id,
+    its DOT text and its critical path."""
+    from repro.core.graph import SchedulingGraph
+
+    ((app_id, trace),) = traces.items()
+    graph = SchedulingGraph(trace)
+    return {
+        "app_id": app_id,
+        "critical_path": [list(edge) for edge in graph.critical_path()],
+        "dot": graph.to_dot(),
+    }
+
+
+def graph_digests(traces) -> dict:
+    """App id -> SHA-256 of its graph's DOT text and of the ``repr`` of
+    its critical path (``repr`` pins every weight's float bits)."""
+    from repro.core.graph import SchedulingGraph
+
+    def sha256(text: str) -> str:
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    digests = {}
+    for app_id, trace in traces.items():
+        graph = SchedulingGraph(trace)
+        digests[app_id] = {
+            "critical_path_sha256": sha256(repr(graph.critical_path())),
+            "dot_sha256": sha256(graph.to_dot()),
+        }
+    return digests
 
 
 def write_trace_csv() -> Path:
@@ -150,6 +187,7 @@ def main() -> int:
 
     from repro.workloads.scenarios import SCENARIO_PRESETS
 
+    graphs = {"golden": golden_graph(SDChecker().group(golden)), "presets": {}}
     for name, scenario in SCENARIO_PRESETS.items():
         run = scenario.run()
         # Snapshot what the *dumped* logs mine to — timestamps on disk
@@ -159,11 +197,14 @@ def main() -> int:
             logdir = Path(scratch) / "logs"
             run.testbed.dump_logs(logdir)
             report = SDChecker().analyze(logdir)
+            graphs["presets"][name] = graph_digests(SDChecker().group(logdir))
         snapshot = HERE / f"scenario_{name.replace('-', '_')}_expected.json"
         snapshot.write_text(
             json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
         )
         print(f"snapshot: {snapshot.name} ({len(report)} app(s))")
+    GRAPH_EXPECTED.write_text(json.dumps(graphs, indent=2, sort_keys=True) + "\n")
+    print(f"snapshot: {GRAPH_EXPECTED.name}")
 
     write_trace_csv()
     for name, scenario in recipe_scenarios().items():

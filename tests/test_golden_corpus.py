@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.checker import SDChecker
 from repro.faults import corrupt_copy
+from tests.data.regen_golden import GRAPH_EXPECTED, golden_graph
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden"
@@ -67,6 +68,13 @@ class TestCleanCorpus:
         for app in expected["applications"]:
             missing = [k for k, v in app.items() if v is None]
             assert not missing, f"{app['app_id']} missing {missing}"
+
+    def test_scheduling_graph_matches_snapshot(self):
+        """The golden app's DOT text and critical path, byte for byte."""
+        expected = json.loads(GRAPH_EXPECTED.read_text())["golden"]
+        graph = golden_graph(SDChecker().group(GOLDEN))
+        assert graph["dot"] == expected["dot"]
+        assert graph == expected
 
 
 class TestCannedCorruptions:

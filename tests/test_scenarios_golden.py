@@ -25,7 +25,13 @@ import pytest
 from repro.core.checker import SDChecker
 from repro.core.decompose import BREAKDOWN_COMPONENTS
 from repro.workloads.scenarios import SCENARIO_PRESETS, get_scenario, list_scenarios
-from tests.data.regen_golden import recipe_path, recipe_scenarios, recipe_snapshot
+from tests.data.regen_golden import (
+    GRAPH_EXPECTED,
+    graph_digests,
+    recipe_path,
+    recipe_scenarios,
+    recipe_snapshot,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -95,6 +101,12 @@ class TestSnapshots:
         expected = json.loads(snapshot_path(name).read_text())
         assert parallel.to_dict() == expected
 
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_scheduling_graphs_match_snapshot(self, name, runs):
+        """Every app's DOT text and critical path, pinned by digest."""
+        _, logdir = runs[name]
+        expected = json.loads(GRAPH_EXPECTED.read_text())["presets"][name]
+        assert graph_digests(SDChecker().group(logdir)) == expected
 
     @pytest.mark.parametrize("name", PRESETS)
     def test_in_memory_report_equals_dumped_report(self, name, runs):
