@@ -83,23 +83,6 @@ class Cluster:
     def total_memory_mb(self) -> int:
         return sum(n.memory_mb for n in self.nodes)
 
-    def total_vcores(self) -> int:
-        return sum(n.cores for n in self.nodes)
-
     def used_memory_mb(self) -> int:
         return sum(n.memory_mb - n.memory_available_mb for n in self.nodes)
 
-    def memory_utilization(self) -> float:
-        """Fraction of cluster memory currently reserved (0..1)."""
-        return self.used_memory_mb() / self.total_memory_mb()
-
-    def nodes_fitting(self, memory_mb: int, vcores: int) -> List[Node]:
-        """Active nodes that could host a container of this shape now."""
-        return [n for n in self.nodes if n.active and n.fits(memory_mb, vcores)]
-
-    def least_loaded(self, memory_mb: int, vcores: int) -> Optional[Node]:
-        """The fitting node with most free memory, or None."""
-        fitting = self.nodes_fitting(memory_mb, vcores)
-        if not fitting:
-            return None
-        return max(fitting, key=lambda n: (n.memory_available_mb, -n.index))

@@ -9,14 +9,13 @@ builds a per-application scheduling graph, and decomposes the total
 scheduling delay into the components analyzed in section IV.
 
 SDchecker deliberately knows nothing about the simulator: its only
-input is text.  Nor does it load networkx until it is asked for a
-graph: :class:`SchedulingGraph` resolves on first access, so mining
-and reporting never pay for it.
+input is text.  Its one third-party dependency is numpy.
 """
 
 from repro.core.checker import SDChecker
 from repro.core.diagnostics import AppDiagnostics, MiningDiagnostics
 from repro.core.events import EventKind, SchedulingEvent
+from repro.core.graph import SchedulingGraph
 from repro.core.decompose import ApplicationDelays, ContainerDelays, decompose
 from repro.core.grouping import ApplicationTrace, ContainerTrace, group_events
 from repro.core.parser import LogMiner
@@ -46,12 +45,3 @@ __all__ = [
     "render_timeline",
 ]
 
-
-def __getattr__(name: str):
-    # PEP 562: ``repro.core.SchedulingGraph`` imports networkx on the
-    # first access instead of with the package.
-    if name == "SchedulingGraph":
-        from repro.core.graph import SchedulingGraph
-
-        return SchedulingGraph
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Union
+from typing import Dict, Union
 
 from repro.core.bugcheck import find_unused_containers
 from repro.core.decompose import decompose
 from repro.core.diagnostics import AppDiagnostics
+from repro.core.graph import SchedulingGraph
 from repro.core.grouping import ApplicationTrace, group_events
 from repro.core.parser import AUTO_JOBS, LogMiner
 from repro.core.report import AnalysisReport
 from repro.logsys.store import LogStore
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.graph import SchedulingGraph
 
 __all__ = ["SDChecker", "analyze_events"]
 
@@ -75,13 +73,7 @@ class SDChecker:
         return group_events(self.mine_with_diagnostics(source)[0])
 
     def graph(self, trace: ApplicationTrace) -> SchedulingGraph:
-        """Step 3: the scheduling graph of one application.
-
-        The graph module (and networkx with it) is imported here, on
-        the first graph built: the report pipeline never needs it.
-        """
-        from repro.core.graph import SchedulingGraph
-
+        """Step 3: the scheduling graph of one application."""
         return SchedulingGraph(trace)
 
     def analyze(self, source: Union[LogStore, str, Path]) -> AnalysisReport:

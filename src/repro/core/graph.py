@@ -19,14 +19,15 @@ total scheduling delay, and each edge names the component it charges.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.events import EventKind
 from repro.core.grouping import ApplicationTrace, ContainerTrace
 
-__all__ = ["SchedulingGraph"]
+__all__ = ["SchedulingGraph", "longest_path"]
+
+#: node -> successor -> edge attributes, each level in insertion order.
+Successors = Dict[str, Dict[str, Dict[str, Any]]]
 
 #: States the paper draws as rectangles (YARN) vs circles (Spark).
 _YARN_KINDS = {
@@ -61,33 +62,71 @@ _EDGE_COMPONENT = {
 }
 
 
+def longest_path(succ: Successors, source: str, target: str) -> List[str]:
+    """The longest simple ``source`` -> ``target`` path, as its nodes.
+
+    Walks every simple path depth-first, successors in insertion order,
+    and never past ``target``; sums each path's ``weight`` with ``sum``
+    and keeps the first path strictly longer than the best so far.  A
+    per-node maximum is not the same rule: two prefixes one ulp apart
+    can round to the same total further on, and then this keeps the
+    earlier path.  Empty when ``target`` is unreachable.
+    """
+    best: List[str] = []
+    best_len = -1.0
+    path = [source]
+    stack = [iter(succ[source])]
+    while stack:
+        node = next((n for n in stack[-1] if n not in path), None)
+        if node is None:
+            stack.pop()
+            path.pop()
+        elif node == target:
+            full = path + [node]
+            length = sum(succ[a][b]["weight"] for a, b in zip(full, full[1:]))
+            if length > best_len:
+                best_len, best = length, full
+        else:
+            path.append(node)
+            stack.append(iter(succ[node]))
+    return best
+
+
 class SchedulingGraph:
-    """The per-application scheduling DAG."""
+    """The per-application scheduling DAG.
+
+    ``nodes`` maps a node name to its ``entity``, ``kind``,
+    ``timestamp`` and ``owner``; ``succ`` maps it to its successors,
+    each to the edge's ``weight`` (seconds) and ``component``.  Both
+    keep insertion order, and re-adding a node or an edge updates its
+    attributes in place.
+    """
 
     def __init__(self, trace: ApplicationTrace):
         self.trace = trace
-        self.graph = nx.DiGraph(app_id=trace.app_id)
+        self.nodes: Dict[str, Dict[str, Any]] = {}
+        self.succ: Successors = {}
         self._build()
 
     # -- construction ------------------------------------------------------
     def _node(self, entity: str, kind: EventKind, timestamp: float) -> str:
         node = f"{entity}:{kind.value}"
-        self.graph.add_node(
-            node,
+        self.nodes.setdefault(node, {}).update(
             entity=entity,
             kind=kind.value,
             timestamp=timestamp,
             owner="yarn" if kind in _YARN_KINDS else "spark",
         )
+        self.succ.setdefault(node, {})
         return node
 
     def _edge(self, a: Optional[str], b: Optional[str], component: str) -> None:
         if a is None or b is None or a == b:
             return
-        dt = self.graph.nodes[b]["timestamp"] - self.graph.nodes[a]["timestamp"]
+        dt = self.nodes[b]["timestamp"] - self.nodes[a]["timestamp"]
         if dt < 0:
             return  # never draw a backwards causal edge (clock skew guard)
-        self.graph.add_edge(a, b, weight=dt, component=component)
+        self.succ[a].setdefault(b, {}).update(weight=dt, component=component)
 
     def _app_node(self, kind: EventKind) -> Optional[str]:
         t = self.trace.time_of(kind)
@@ -128,9 +167,7 @@ class SchedulingGraph:
         am_nodes: Dict[EventKind, str] = {}
         if am is not None:
             chain = self._container_chain(am)
-            am_nodes = {
-                EventKind[self.graph.nodes[n]["kind"]]: n for n in chain
-            }
+            am_nodes = {EventKind[self.nodes[n]["kind"]]: n for n in chain}
             self._edge(accepted, chain[0] if chain else None, "am-scheduling")
             self._edge(
                 am_nodes.get(EventKind.INSTANCE_FIRST_LOG), driver_reg, "driver-delay"
@@ -144,80 +181,54 @@ class SchedulingGraph:
             if not chain:
                 continue
             self._edge(start_allo, chain[0], "allocation")
-            first_kind = EventKind[self.graph.nodes[chain[0]]["kind"]]
+            first_kind = EventKind[self.nodes[chain[0]]["kind"]]
             if first_kind is EventKind.CONTAINER_ALLOCATED:
                 last_allocated.append(chain[0])
         for node in last_allocated:
             self._edge(node, end_allo, "allocation-complete")
 
         first_tasks = [
-            n for n, d in self.graph.nodes(data=True)
-            if d["kind"] == EventKind.FIRST_TASK.value
+            n for n, d in self.nodes.items() if d["kind"] == EventKind.FIRST_TASK.value
         ]
         for node in first_tasks:
             self._edge(node, finished, "execution")
 
     # -- queries --------------------------------------------------------------
-    def to_networkx(self) -> nx.DiGraph:
-        return self.graph
-
-    @property
-    def node_count(self) -> int:
-        return self.graph.number_of_nodes()
-
-    def is_dag(self) -> bool:
-        return nx.is_directed_acyclic_graph(self.graph)
-
     def critical_path(self) -> List[Tuple[str, str, float, str]]:
         """The longest SUBMITTED -> first-task path by elapsed time.
 
         Returns (from_node, to_node, seconds, component) per edge; the
         sum of the seconds is the path's share of the total scheduling
         delay — the paper's "which component should we optimize" view.
+        The target is the earliest FIRST_TASK node by (timestamp, name).
         """
         source = f"app:{EventKind.APP_SUBMITTED.value}"
         targets = sorted(
-            (
-                (d["timestamp"], n)
-                for n, d in self.graph.nodes(data=True)
-                if d["kind"] == EventKind.FIRST_TASK.value
-            ),
+            (d["timestamp"], n)
+            for n, d in self.nodes.items()
+            if d["kind"] == EventKind.FIRST_TASK.value
         )
-        if source not in self.graph or not targets:
+        if source not in self.nodes or not targets:
             return []
-        target = targets[0][1]
-        best_path: Optional[List[str]] = None
-        best_len = -1.0
-        for path in nx.all_simple_paths(self.graph, source, target):
-            length = sum(
-                self.graph.edges[a, b]["weight"] for a, b in zip(path, path[1:])
-            )
-            if length > best_len:
-                best_len, best_path = length, path
-        if best_path is None:
-            return []
+        path = longest_path(self.succ, source, targets[0][1])
         return [
-            (
-                a,
-                b,
-                self.graph.edges[a, b]["weight"],
-                self.graph.edges[a, b]["component"],
-            )
-            for a, b in zip(best_path, best_path[1:])
+            (a, b, self.succ[a][b]["weight"], self.succ[a][b]["component"])
+            for a, b in zip(path, path[1:])
         ]
 
     def to_dot(self) -> str:
         """Graphviz rendering: rectangles = YARN states, circles = Spark
         states, matching Fig 3's convention."""
         lines = [f'digraph "{self.trace.app_id}" {{', "  rankdir=LR;"]
-        for node, data in self.graph.nodes(data=True):
+        for node, data in self.nodes.items():
             shape = "box" if data["owner"] == "yarn" else "ellipse"
             label = node.replace(":", "\\n")
             lines.append(f'  "{node}" [shape={shape}, label="{label}"];')
-        for a, b, data in self.graph.edges(data=True):
-            lines.append(
-                f'  "{a}" -> "{b}" [label="{data["component"]} '
-                f'{data["weight"]:.3f}s"];'
-            )
+        for a, successors in self.succ.items():
+            for b, data in successors.items():
+                lines.append(
+                    f'  "{a}" -> "{b}" [label="{data["component"]} '
+                    f'{data["weight"]:.3f}s"];'
+                )
         lines.append("}")
         return "\n".join(lines)

@@ -111,17 +111,6 @@ class DelaySample:
         counts, edges = np.histogram(self._values, bins=bins)
         return [(float(edges[i]), int(counts[i])) for i in range(len(counts))]
 
-    # -- combination ------------------------------------------------------------
-    def ratio_to(self, other: "DelaySample", q: float = 50.0) -> float:
-        """Percentile ratio self/other (slowdown factors in Figs 12-13).
-
-        Edge semantics via :func:`ratio_of`: 0-vs-0 compares as 1.0
-        (unchanged), while an empty sample on either side — or a
-        nonzero numerator over a zero base — is NaN, which JSON
-        renderers must show as "n/a", never raw ``nan``.
-        """
-        return ratio_of(other.percentile(q), self.percentile(q))
-
     def describe(self) -> str:
         """One-line summary used by the report tables."""
         if self._values.size == 0:

@@ -31,9 +31,6 @@ class Fig8Result:
     #: label -> {"localization", "driver_localization", "total"}.
     series: Dict[str, Dict[str, DelaySample]]
 
-    def executor_localization(self, label: str) -> DelaySample:
-        return self.series[label]["localization"]
-
     def rows(self) -> List[str]:
         lines = ["Figure 8 — localization delay vs localized file size"]
         for label, metrics in self.series.items():

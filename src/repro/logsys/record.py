@@ -204,8 +204,3 @@ class LogRecord:
         if record is None:
             raise ValueError(f"unparseable log line ({outcome}): {line!r}")
         return record
-
-    @classmethod
-    def try_parse(cls, line: str) -> "LogRecord | None":
-        """Parse, returning None for non-log lines (stack traces etc.)."""
-        return cls.classify_parse(line)[0]

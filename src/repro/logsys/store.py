@@ -349,12 +349,6 @@ class LogStore:
         for record in self.iter_records(daemon):
             yield record.render()
 
-    def all_records(self) -> Iterator[tuple[str, LogRecord]]:
-        """(daemon, record) pairs across all streams, per-stream order."""
-        for daemon in self.daemons:
-            for record in self._streams[daemon]:
-                yield daemon, record
-
     def render(self, daemon: str) -> List[str]:
         """The rendered text lines of one stream."""
         return [r.render() for r in self._streams.get(daemon, [])]

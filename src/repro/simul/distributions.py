@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import zlib
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,11 +75,6 @@ class RandomSource:
         idx = self._rng.choice(len(seq), size=k, replace=False)
         return [seq[int(i)] for i in idx]
 
-    def shuffled(self, seq: Sequence) -> list:
-        out = list(seq)
-        self._rng.shuffle(out)
-        return out
-
     # -- latency-shaped draws ---------------------------------------------
     def lognormal_median(self, median: float, sigma: float = 0.35) -> float:
         """Lognormal with the given median; sigma controls the spread.
@@ -97,15 +92,6 @@ class RandomSource:
             raise ValueError(f"invalid bounded_pareto({scale}, {alpha}, {cap})")
         draw = scale * float((1.0 + self._rng.pareto(alpha)))
         return min(draw, cap)
-
-    def truncated_normal(
-        self, mean: float, std: float, low: float = 0.0, high: Optional[float] = None
-    ) -> float:
-        """Normal draw clipped to [low, high] (rejection-free clipping)."""
-        draw = float(self._rng.normal(mean, std))
-        if high is not None:
-            draw = min(draw, high)
-        return max(low, draw)
 
     def jitter(self, value: float, fraction: float = 0.1) -> float:
         """``value`` multiplied by Uniform(1-fraction, 1+fraction)."""

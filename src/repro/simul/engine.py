@@ -135,7 +135,7 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
@@ -147,7 +147,6 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self.defused = False
-        self.delay = delay
         heappush(sim._heap, (sim._now + delay, next(sim._seq), self))
 
 
@@ -384,24 +383,3 @@ class Simulator:
             self.step()
         if until is not None:
             self._now = max(self._now, until)
-
-    def run_until_complete(self, proc: Process, limit: float = float("inf")) -> Any:
-        """Run until ``proc`` terminates; return its value.
-
-        ``limit`` bounds the simulated time as a safety net against
-        deadlocked scenarios.
-        """
-        while not proc.triggered:
-            if not self._heap:
-                raise SimulationError(
-                    f"deadlock: no scheduled events but {proc.name!r} is still alive"
-                )
-            if self._heap[0][0] > limit:
-                raise SimulationError(
-                    f"simulated time limit {limit} exceeded waiting for {proc.name!r}"
-                )
-            self.step()
-        if not proc._ok:
-            raise proc._value
-        proc.defused = True
-        return proc._value

@@ -27,11 +27,10 @@ __all__ = ["Request", "Resource", "Store", "FairShareResource", "FlowHandle"]
 class Request(Event):
     """Grant event for a :class:`Resource` acquisition."""
 
-    __slots__ = ("resource", "amount")
+    __slots__ = ("amount",)
 
     def __init__(self, resource: "Resource", amount: int):
         super().__init__(resource.sim)
-        self.resource = resource
         self.amount = amount
 
 

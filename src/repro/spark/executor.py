@@ -39,7 +39,6 @@ class SparkExecutor:
         #: Tasks the driver has assigned to this executor (round-robin
         #: dispatch, like Spark's spread-out task placement).
         self.inbox: Store = Store(ctx.sim)
-        self._logged_first_task = False
         #: Worker processes, populated at registration (kill targets).
         self._workers: List[Process] = []
         #: Outstanding inbox gets by worker slot — a kill must reclaim
@@ -158,7 +157,6 @@ class SparkExecutor:
                 yield sim.timeout(self.app.rpc_latency())
                 # "Got assigned task N" — the first one is Table I msg 14.
                 ctx.logger.info(_EXECUTOR_CLS, f"Got assigned task {task.task_id}")
-                self._logged_first_task = True
                 if params.spark_task_failure_prob > 0 and fail_rng.bernoulli(
                     params.spark_task_failure_prob
                 ):

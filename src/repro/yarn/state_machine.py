@@ -9,7 +9,7 @@ SDchecker's regexes (Table I) apply verbatim.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.logsys.store import DaemonLogger
 from repro.simul.engine import SimulationError
@@ -45,8 +45,6 @@ class LoggingStateMachine:
         self.entity_id = entity_id
         self.logger = logger
         self.state = self.INITIAL
-        #: state name -> time of first entry (simulated seconds).
-        self.entered_at: Dict[str, float] = {}
 
     def handle(self, event: str) -> str:
         """Apply ``event``; log and return the new state."""
@@ -59,16 +57,11 @@ class LoggingStateMachine:
                 f"{event!r} in state {self.state!r}"
             ) from None
         old, self.state = self.state, new
-        record = self.logger.info(
+        self.logger.info(
             self.CLS,
             self.TEMPLATE % {"entity": self.entity_id, "old": old, "new": new, "event": event},
         )
-        self.entered_at.setdefault(new, record.timestamp)
         return new
-
-    def time_in(self, state: str) -> Optional[float]:
-        """First entry time of ``state``, if reached."""
-        return self.entered_at.get(state)
 
 
 class RMAppStateMachine(LoggingStateMachine):

@@ -84,21 +84,12 @@ class TestCluster:
     def test_capacity_totals(self, sim, small_params):
         cluster = Cluster(sim, small_params)
         assert cluster.total_memory_mb() == 5 * small_params.memory_per_node_mb
-        assert cluster.total_vcores() == 5 * small_params.cores_per_node
 
     def test_memory_utilization(self, sim, small_params):
         cluster = Cluster(sim, small_params)
-        assert cluster.memory_utilization() == 0.0
+        assert cluster.used_memory_mb() == 0
         cluster.nodes[0].reserve(small_params.memory_per_node_mb, 1)
-        assert cluster.memory_utilization() == pytest.approx(0.2)
-
-    def test_nodes_fitting_and_least_loaded(self, sim, small_params):
-        cluster = Cluster(sim, small_params)
-        cluster.nodes[0].reserve(small_params.memory_per_node_mb - 512, 1)
-        fitting = cluster.nodes_fitting(1024, 1)
-        assert cluster.nodes[0] not in fitting
-        best = cluster.least_loaded(1024, 1)
-        assert best is not cluster.nodes[0]
+        assert cluster.used_memory_mb() == small_params.memory_per_node_mb
 
 
 class TestColdFraction:

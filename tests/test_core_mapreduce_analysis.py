@@ -13,6 +13,7 @@ from repro.core.timeline import render_timeline
 from repro.mapreduce.application import MapReduceApplication
 from repro.params import SimulationParams
 from repro.testbed import Testbed
+from tests.test_core_graph import is_dag
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ class TestMapReduceDecomposition:
     def test_graph_has_no_first_task_path(self, mr_analysis):
         _bed, _app, checker, traces = mr_analysis
         graph = checker.graph(next(iter(traces.values())))
-        assert graph.is_dag()
+        assert is_dag(graph)
         assert graph.critical_path() == []  # no FIRST_TASK target
 
     def test_timeline_renders_without_task_markers(self, mr_analysis):

@@ -75,19 +75,22 @@ class TestHistogram:
 
 
 class TestRatios:
+    """Sample ratios as the report's comparison table takes them:
+    ``ratio_of`` over the two samples' percentiles."""
+
     def test_ratio_to(self):
         a = DelaySample([10.0] * 5)
         b = DelaySample([2.0] * 5)
-        assert a.ratio_to(b) == pytest.approx(5.0)
+        assert ratio_of(b.p50, a.p50) == pytest.approx(5.0)
 
     def test_ratio_to_empty_is_nan(self):
-        assert math.isnan(DelaySample([1.0]).ratio_to(DelaySample([])))
+        assert math.isnan(ratio_of(DelaySample([]).p50, DelaySample([1.0]).p50))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(min_value=0.1, max_value=1e3), min_size=2, max_size=50))
     def test_self_ratio_is_one(self, values):
         s = DelaySample(values)
-        assert s.ratio_to(s) == pytest.approx(1.0)
+        assert ratio_of(s.p50, s.p50) == pytest.approx(1.0)
 
 
 class TestEdgeCases:
@@ -112,19 +115,19 @@ class TestEdgeCases:
         assert sum(count for _edge, count in s.histogram()) == 1
 
     def test_ratio_to_empty_is_nan(self):
-        assert math.isnan(DelaySample([1.0]).ratio_to(DelaySample([])))
+        assert math.isnan(ratio_of(DelaySample([]).p50, DelaySample([1.0]).p50))
 
     def test_empty_ratio_to_populated_is_nan(self):
-        assert math.isnan(DelaySample([]).ratio_to(DelaySample([1.0])))
+        assert math.isnan(ratio_of(DelaySample([1.0]).p50, DelaySample([]).p50))
 
     def test_ratio_to_zero_denominator_is_nan(self):
-        assert math.isnan(DelaySample([1.0]).ratio_to(DelaySample([0.0])))
+        assert math.isnan(ratio_of(DelaySample([0.0]).p50, DelaySample([1.0]).p50))
 
     def test_ratio_to_zero_vs_zero_is_one(self):
         # All-zero components (preemption_delay in a calm run) compare
         # as "unchanged", not undefined — the compare() fix extended to
         # the sample layer for the what-if delta tables.
-        assert DelaySample([0.0, 0.0]).ratio_to(DelaySample([0.0])) == 1.0
+        assert ratio_of(DelaySample([0.0]).p50, DelaySample([0.0, 0.0]).p50) == 1.0
 
     def test_ratio_of_edge_semantics(self):
         assert ratio_of(2.0, 5.0) == pytest.approx(2.5)

@@ -82,7 +82,6 @@ class TestFig8Result:
             }
         )
         assert "bimodality" in "\n".join(result.rows())
-        assert result.executor_localization("default").p50 == 0.5
 
 
 class TestFig9Result:

@@ -113,8 +113,8 @@ class TestMultiTenancy:
 
     def test_log_precision_is_one_millisecond(self, single_app_run):
         bed, _app, _report = single_app_run
-        for _daemon, record in bed.log_store.all_records():
-            rendered = record.render()
-            # ...HH:MM:SS,mmm — exactly three millisecond digits.
-            time_part = rendered.split(" ")[1]
-            assert len(time_part.split(",")[1]) == 3
+        for daemon in bed.log_store.daemons:
+            for rendered in bed.log_store.iter_lines(daemon):
+                # ...HH:MM:SS,mmm — exactly three millisecond digits.
+                time_part = rendered.split(" ")[1]
+                assert len(time_part.split(",")[1]) == 3

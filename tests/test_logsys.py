@@ -52,8 +52,8 @@ class TestLogRecord:
         with pytest.raises(ValueError):
             LogRecord.parse("java.lang.NullPointerException")
 
-    def test_try_parse_returns_none_for_noise(self):
-        assert LogRecord.try_parse("   at Foo.bar(Foo.java:42)") is None
+    def test_classify_parse_returns_none_for_noise(self):
+        assert LogRecord.classify_parse("   at Foo.bar(Foo.java:42)")[0] is None
 
     def test_parse_class_with_dollar_sign(self):
         line = "2018-01-12 00:00:00,001 INFO a.b.C$D: inner class logger"
@@ -116,13 +116,6 @@ class TestLogStore:
         )
         assert len(store.records("d1")) == 1
         assert len(store.records("d2")) == 1
-
-    def test_all_records_iterates_in_daemon_order(self):
-        store = LogStore()
-        store.logger("b", lambda: 0.0).info("C", "m1")
-        store.logger("a", lambda: 0.0).info("C", "m2")
-        daemons = [d for d, _r in store.all_records()]
-        assert daemons == ["a", "b"]
 
 
 class TestReaderTolerance:

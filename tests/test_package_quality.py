@@ -1,5 +1,6 @@
 """Package-level quality gates: imports, exports, docstrings."""
 
+import ast
 import importlib
 import json
 import os
@@ -60,59 +61,75 @@ class TestExports:
 
 
 class TestImportFootprint:
-    """SDchecker and the live service load only what they use.
+    """The package imports only the standard library, numpy and itself,
+    and SDchecker and the live service load only what they use.
 
-    Every check runs in a fresh interpreter, because this one has long
-    since imported the simulator and networkx.
+    The load checks run in a fresh interpreter, because this one has
+    long since imported the simulator.
     """
+
+    ROOT = Path(repro.__file__).resolve().parents[2]
+
+    def test_numpy_is_the_only_third_party_import_and_dependency(self):
+        allowed = set(sys.stdlib_module_names) | {"numpy", "repro"}
+        foreign = []
+        for path in sorted((self.ROOT / "src" / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue  # relative imports stay inside repro
+                foreign += [
+                    f"{path.relative_to(self.ROOT)}:{node.lineno} {name}"
+                    for name in names
+                    if name.split(".")[0] not in allowed
+                ]
+        assert foreign == []
+        # The TOML array is also a Python literal (tomllib is 3.11+).
+        pyproject = (self.ROOT / "pyproject.toml").read_text()
+        listed = pyproject.split("\ndependencies = ", 1)[1].split("]", 1)[0] + "]"
+        assert ast.literal_eval(listed) == ["numpy>=1.24"]
 
     #: Simulator packages: SDchecker reads text and must not load them.
     SIMULATOR = ("repro.testbed", "repro.simul", "repro.yarn", "repro.spark",
                  "repro.cluster", "repro.hdfs")
 
-    #: Runs ``sdchecker <logdir>`` in-process, optionally with networkx
-    #: made unimportable, then imports the live CLI; prints the exit
-    #: code, the report and every loaded ``repro`` module as JSON.
+    #: Runs ``sdchecker <logdir>`` in-process, then imports the live
+    #: CLI; prints the exit code, the report and every loaded ``repro``
+    #: module as JSON.
     PROBE = textwrap.dedent(
         """
         import contextlib, io, json, sys
-        if sys.argv[1] == "no-networkx":
-            sys.modules["networkx"] = None
         from repro.core import cli
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = cli.main([sys.argv[2]])
+            code = cli.main([sys.argv[1]])
         import repro.live.cli
         loaded = sorted(name for name in sys.modules if name.startswith("repro"))
         print(json.dumps({"code": code, "report": out.getvalue(), "loaded": loaded}))
         """
     )
 
-    def _probe(self, mode: str) -> dict:
-        root = Path(repro.__file__).resolve().parents[2]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    def test_sdchecker_and_live_run_without_the_simulator(self):
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
         done = subprocess.run(
-            [sys.executable, "-c", self.PROBE, mode,
-             str(root / "tests" / "data" / "golden")],
-            env=env, cwd=root, capture_output=True, text=True, timeout=120,
+            [sys.executable, "-c", self.PROBE,
+             str(self.ROOT / "tests" / "data" / "golden")],
+            env=env, cwd=self.ROOT, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        return json.loads(done.stdout)
-
-    def test_sdchecker_and_live_run_without_networkx_or_the_simulator(self):
-        blocked = self._probe("no-networkx")
-        assert blocked["code"] == 0
-        assert "repro.live.cli" in blocked["loaded"]
+        probe = json.loads(done.stdout)
+        assert probe["code"] == 0
+        assert "repro.live.cli" in probe["loaded"]
         simulator = [
-            name for name in blocked["loaded"]
+            name for name in probe["loaded"]
             if any(name == pkg or name.startswith(pkg + ".")
                    for pkg in self.SIMULATOR)
         ]
         assert simulator == []
-        reference = self._probe("networkx")
-        assert reference["code"] == 0
-        assert blocked["report"] == reference["report"]
-        assert "total_delay" in blocked["report"]
+        assert "total_delay" in probe["report"]
 
     #: What the live service loads and a ``query`` does not need.
     LIVE_SERVICE = ("numpy", "multiprocessing", "http.server", "repro.core",

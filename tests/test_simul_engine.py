@@ -93,8 +93,8 @@ class TestProcess:
             return "done"
 
         p = sim.process(proc())
-        result = sim.run_until_complete(p)
-        assert result == "done"
+        sim.run()
+        assert p.value == "done"
 
     def test_yield_on_already_processed_event(self, sim):
         ev = sim.event()
@@ -279,19 +279,3 @@ class TestSimulator:
         sim.run()
         with pytest.raises(SimulationError):
             sim.call_at(1.0, lambda: None)
-
-    def test_run_until_complete_detects_deadlock(self, sim):
-        def stuck():
-            yield sim.event()  # never triggered
-
-        p = sim.process(stuck())
-        with pytest.raises(SimulationError, match="deadlock"):
-            sim.run_until_complete(p)
-
-    def test_run_until_complete_respects_limit(self, sim):
-        def slow():
-            yield sim.timeout(1000.0)
-
-        p = sim.process(slow())
-        with pytest.raises(SimulationError, match="limit"):
-            sim.run_until_complete(p, limit=10.0)

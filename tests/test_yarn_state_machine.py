@@ -62,14 +62,6 @@ class TestRMAppStateMachine:
         with pytest.raises(SimulationError, match="invalid event"):
             sm.handle("ATTEMPT_REGISTERED")  # not valid in NEW
 
-    def test_entered_at_records_first_entry(self, logger):
-        _store, clock, log = logger
-        sm = RMAppStateMachine("application_1_0001", log)
-        clock[0] = 3.5
-        sm.handle("START")
-        assert sm.time_in("NEW_SAVING") == 3.5
-        assert sm.time_in("FINISHED") is None
-
 
 class TestRMContainerStateMachine:
     def test_allocation_flow(self, logger):
