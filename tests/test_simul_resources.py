@@ -208,7 +208,6 @@ class TestFairShareResource:
             target = res.submit(work)
             for _ in range(n):
                 res.submit(work)
-            sim.run_until_complete_noop = None
             while not target.triggered:
                 sim.step()
             return target.value
