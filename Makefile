@@ -18,7 +18,9 @@ test:
 # The paper's claims: every table/figure check at small scale, each
 # asserting its shape claims, then a byte check that every regenerated
 # benchmarks/results file equals the committed one.  A change that moves
-# a figure row commits the new rows.
+# a figure row commits the new rows.  Each file runs in its own pytest
+# process, as many at once as this process has CPUs: no claim file
+# times anything, and each writes its own results file.
 PAPER_CLAIMS = $(addprefix benchmarks/,test_fig4_overall.py test_fig5_input_size.py \
 	test_fig6_executors.py test_fig7_schedulers.py test_fig8_localization.py \
 	test_fig9_launching.py test_fig11_inapp.py test_fig12_io_interference.py \
@@ -37,7 +39,9 @@ bench-paper:
 	REPRO_SCALE=paper PYTHONPATH=src $(PYTHON) -m pytest $(BENCH_CHECKS)
 
 paper-claims:
-	REPRO_SCALE=small PYTHONPATH=src $(PYTHON) -m pytest $(PAPER_CLAIMS) -q
+	printf '%s\n' $(PAPER_CLAIMS) | REPRO_SCALE=small PYTHONPATH=src xargs -n 1 \
+		-P $(shell $(PYTHON) -c "import os; print(len(os.sched_getaffinity(0)) if hasattr(os, 'sched_getaffinity') else os.cpu_count())") \
+		$(PYTHON) -m pytest -q -p no:cacheprovider
 	git diff --exit-code benchmarks/results/
 
 # Miner equivalence (in-memory store vs directory, serial vs parallel,

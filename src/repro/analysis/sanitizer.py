@@ -46,7 +46,6 @@ __all__ = [
     "record",
     "report",
     "reset",
-    "stall_threshold",
     "uninstall_loop_monitor",
 ]
 
@@ -67,24 +66,6 @@ _orig_handle_run: Optional[Callable] = None
 def enabled() -> bool:
     """True when the process opted in via ``REPRO_SANITIZE=1``."""
     return os.environ.get("REPRO_SANITIZE", "") == "1"
-
-
-def stall_threshold() -> float:
-    """Loop-stall threshold in seconds (env ``REPRO_SANITIZE_STALL_MS``)."""
-    raw = os.environ.get("REPRO_SANITIZE_STALL_MS", "")
-    try:
-        return float(raw) / 1000.0 if raw else DEFAULT_STALL_SECONDS
-    except ValueError:
-        return DEFAULT_STALL_SECONDS
-
-
-def sample_stride() -> int:
-    """Double-submit stride (env ``REPRO_SANITIZE_SAMPLE_STRIDE``)."""
-    raw = os.environ.get("REPRO_SANITIZE_SAMPLE_STRIDE", "")
-    try:
-        return max(1, int(raw)) if raw else DEFAULT_SAMPLE_STRIDE
-    except ValueError:
-        return DEFAULT_SAMPLE_STRIDE
 
 
 # -- the finding sink ------------------------------------------------------
@@ -130,7 +111,7 @@ def _attribute(obj: Any) -> tuple:
 
 # -- SD601: the slow-callback monitor --------------------------------------
 
-def install_loop_monitor(threshold: Optional[float] = None) -> None:
+def install_loop_monitor(threshold: float = DEFAULT_STALL_SECONDS) -> None:
     """Patch asyncio's callback runner to time every callback.
 
     Idempotent; affects every loop in the process (the live server runs
@@ -141,7 +122,6 @@ def install_loop_monitor(threshold: Optional[float] = None) -> None:
         return
     import asyncio.events
 
-    limit = stall_threshold() if threshold is None else threshold
     original = asyncio.events.Handle._run
     _orig_handle_run = original
 
@@ -151,7 +131,7 @@ def install_loop_monitor(threshold: Optional[float] = None) -> None:
             return original(self)
         finally:
             elapsed = time.perf_counter() - start
-            if elapsed >= limit:
+            if elapsed >= threshold:
                 path, line, name = _attribute(self._callback)
                 record(
                     "SD601",
@@ -159,7 +139,7 @@ def install_loop_monitor(threshold: Optional[float] = None) -> None:
                     line,
                     f"event-loop callback {name} held the loop for "
                     f"{elapsed * 1000.0:.0f} ms (threshold "
-                    f"{limit * 1000.0:.0f} ms); every connected client "
+                    f"{threshold * 1000.0:.0f} ms); every connected client "
                     f"stalled behind it",
                 )
 
@@ -199,7 +179,7 @@ def checked_map(
     fn: Callable,
     tasks: Sequence,
     chunksize: int = 1,
-    stride: Optional[int] = None,
+    stride: int = DEFAULT_SAMPLE_STRIDE,
 ) -> Iterable:
     """``pool.map`` with picklability and determinism verification.
 
@@ -224,7 +204,7 @@ def checked_map(
             f"see the recorded SD602 finding(s)"
         )
     results = list(pool.map(fn, tasks, chunksize=chunksize))
-    step = sample_stride() if stride is None else max(1, stride)
+    step = max(1, stride)
     for index in range(0, len(tasks), step):
         again = pool.submit(fn, tasks[index]).result()
         first = _pickle_or_record(results[index], "worker result", path, line, name)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.calibrate.objective import TargetDecomposition
@@ -224,6 +225,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             f"unknown scenario preset {args.scenario!r} "
             f"(have: {', '.join(list_scenarios())})"
         )
+    if args.target is not None and not Path(args.target).is_dir():
+        raise _CliError(f"{args.target} is not a directory")
+    # Before the trials: a missing directory must not cost a whole search.
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     target: Optional[TargetDecomposition] = None
     if args.target is not None:
         from repro.core.checker import SDChecker

@@ -257,16 +257,16 @@ class LogMiner:
         """Mine a log directory chunk by chunk, inline or on the pool."""
         plans: List[_StreamPlan] = []
         tasks: List[_ChunkTask] = []
-        for daemon, paths in stream_segments(source):
+        for daemon, segments in stream_segments(source):
             gate = _gate_kind(daemon)
             chunks = [
-                (daemon, gate, str(path), start, end)
-                for path in paths
+                (daemon, gate, str(segment.path), start, end)
+                for segment in segments
                 for start, end in partition_file(
-                    path, threshold=FAST_SPLIT_THRESHOLD, target=FAST_CHUNK_TARGET
+                    segment.size, threshold=FAST_SPLIT_THRESHOLD, target=FAST_CHUNK_TARGET
                 )
             ]
-            plans.append((daemon, gate, len(paths), len(chunks)))
+            plans.append((daemon, gate, len(segments), len(chunks)))
             tasks.extend(chunks)
         if jobs == AUTO_JOBS:
             jobs = _auto_jobs(sum(end - start for *_task, start, end in tasks))
@@ -774,8 +774,8 @@ def resolve_jobs(
     than mining them in place.
 
     For a directory, an explicit count (the CLI's ``--jobs N``) is
-    used as is, and ``auto`` sizes the corpus by its bytes — no line
-    scan — for :func:`_auto_jobs`.
+    used as is, and ``auto`` sizes the corpus by the sizes its listing
+    read — no line scan — for :func:`_auto_jobs`.
     """
     if isinstance(source, LogStore):
         return 1
@@ -783,9 +783,9 @@ def resolve_jobs(
         return int(jobs)
     return _auto_jobs(
         sum(
-            path.stat().st_size
-            for _daemon, paths in stream_segments(source)
-            for path in paths
+            segment.size
+            for _daemon, segments in stream_segments(source)
+            for segment in segments
         )
     )
 

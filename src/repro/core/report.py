@@ -185,6 +185,7 @@ class AnalysisReport:
     def to_csv(self, path: Union[str, Path]) -> Path:
         """Write one row per application with every headline metric."""
         path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(("app_id",) + METRICS + ("cl_cf_delay", "normalized_total"))
@@ -199,6 +200,7 @@ class AnalysisReport:
     def containers_to_csv(self, path: Union[str, Path]) -> Path:
         """Write one row per container with its component delays."""
         path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(

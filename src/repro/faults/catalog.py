@@ -116,8 +116,8 @@ class DuplicateLines(Corruption):
 
     def apply(self, logdir: Path, rng: RandomSource) -> CorruptionReceipt:
         receipt = self._receipt()
-        for daemon, paths in stream_segments(logdir):
-            for path in paths:
+        for daemon, segments in stream_segments(logdir):
+            for path, _inode, _size in segments:
                 lines, complete = _read_lines(path)
                 out: List[bytes] = []
                 duplicated = 0
@@ -179,8 +179,8 @@ class InjectNoise(Corruption):
 
     def apply(self, logdir: Path, rng: RandomSource) -> CorruptionReceipt:
         receipt = self._receipt()
-        for daemon, paths in stream_segments(logdir):
-            for path in paths:
+        for daemon, segments in stream_segments(logdir):
+            for path, _inode, _size in segments:
                 lines, complete = _read_lines(path)
                 if not lines:
                     continue
@@ -220,10 +220,10 @@ class RotationSplit(Corruption):
 
     def apply(self, logdir: Path, rng: RandomSource) -> CorruptionReceipt:
         receipt = self._receipt()
-        for daemon, paths in stream_segments(logdir):
-            if len(paths) > 1:
+        for daemon, segments in stream_segments(logdir):
+            if len(segments) > 1:
                 continue  # already rotated
-            path = paths[0]
+            path = segments[0].path
             lines, complete = _read_lines(path)
             if len(lines) < 2 or rng.uniform() >= self.rate:
                 continue
@@ -270,16 +270,16 @@ class TruncateTail(Corruption):
     def apply(self, logdir: Path, rng: RandomSource) -> CorruptionReceipt:
         receipt = self._receipt()
         streams = [
-            (daemon, paths)
-            for daemon, paths in stream_segments(logdir)
+            (daemon, segments)
+            for daemon, segments in stream_segments(logdir)
             if not self.container_only or _is_container_stream(daemon)
         ]
-        victims = [s for s in streams if _read_lines(s[1][-1])[0]]
+        victims = [s for s in streams if _read_lines(s[1][-1].path)[0]]
         if not victims:
             return receipt
         chosen = rng.sample(victims, min(self.max_streams, len(victims)))
-        for daemon, paths in sorted(chosen):
-            path = paths[-1]  # the live (newest) segment holds the tail
+        for daemon, segments in sorted(chosen):
+            path = segments[-1].path  # the live (newest) segment holds the tail
             lines, _complete = _read_lines(path)
             lost = min(rng.integers(0, self.max_lines + 1), len(lines) - 1)
             kept = lines[: len(lines) - lost]
@@ -320,8 +320,8 @@ class ReorderJitter(Corruption):
 
     def apply(self, logdir: Path, rng: RandomSource) -> CorruptionReceipt:
         receipt = self._receipt()
-        for daemon, paths in stream_segments(logdir):
-            for path in paths:
+        for daemon, segments in stream_segments(logdir):
+            for path, _inode, _size in segments:
                 lines, complete = _read_lines(path)
                 swaps = 0
                 i = 0
@@ -353,8 +353,8 @@ class InvalidBytes(Corruption):
 
     def apply(self, logdir: Path, rng: RandomSource) -> CorruptionReceipt:
         receipt = self._receipt()
-        for daemon, paths in stream_segments(logdir):
-            for path in paths:
+        for daemon, segments in stream_segments(logdir):
+            for path, _inode, _size in segments:
                 lines, complete = _read_lines(path)
                 mangled = 0
                 for i, line in enumerate(lines):
@@ -384,11 +384,11 @@ class DeleteDaemon(Corruption):
         streams = stream_segments(logdir)
         if len(streams) <= 1:
             return receipt  # never delete the only stream
-        daemon, paths = rng.choice(streams)
-        for path in paths:
-            path.unlink()
+        daemon, segments = rng.choice(streams)
+        for segment in segments:
+            segment.path.unlink()
         receipt.touched.append(daemon)
-        receipt.details.append(f"removed {len(paths)} file(s) of {daemon}")
+        receipt.details.append(f"removed {len(segments)} file(s) of {daemon}")
         return receipt
 
 
@@ -424,8 +424,8 @@ class FormatDrift(Corruption):
 
     def apply(self, logdir: Path, rng: RandomSource) -> CorruptionReceipt:
         receipt = self._receipt()
-        for daemon, paths in stream_segments(logdir):
-            for path in paths:
+        for daemon, segments in stream_segments(logdir):
+            for path, _inode, _size in segments:
                 lines, complete = _read_lines(path)
                 drifted = 0
                 for i, line in enumerate(lines):

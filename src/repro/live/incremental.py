@@ -610,6 +610,7 @@ class LiveSession:
         }
         if len(self.tailers) == 1:
             state["tailer"] = state["tailers"][0]
+        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(path.suffix + ".tmp")
         tmp.write_text(json.dumps(state), encoding="utf-8")
         tmp.replace(path)

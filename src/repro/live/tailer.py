@@ -9,19 +9,20 @@ directory is still growing, by keeping one cursor per physical file:
   RollingFileAppender rotates by *renaming* (``.1`` becomes ``.2``, the
   live file becomes ``.1``, a fresh live file appears), and inode
   identity is what survives the rename chain;
-* the live file only ever surrenders *complete* lines
-  (:meth:`StreamTailer._advance_live`, the incremental half of the
-  batch reader's line-ownership protocol in
+* every file is read by :meth:`StreamTailer._read`, one ``os.open``
+  and positioned ``os.pread`` calls;
+* the live file only ever surrenders *complete* lines (the incremental
+  half of the batch reader's line-ownership protocol in
   :func:`repro.logsys.store.read_chunk`): bytes after the last newline
   are a record a writer may still be mid-way through, so they are held
-  back and re-read once terminated — or flushed at :meth:`drain`, when
+  back and re-read once terminated — or read at :meth:`drain`, when
   EOF ends the line exactly as :func:`~repro.logsys.store.iter_file_lines`
   treats an unterminated tail;
 * a file whose name gained a rotation index is *closed*: it is read to
   EOF (unterminated tail included, newline-normalized so segment
   boundaries never glue two lines together) and finalized before any
   younger segment's bytes are emitted, preserving oldest-first order;
-* **truncation** (the live file shrinking below its cursor — a writer
+* **truncation** (a file shrinking below its cursor — a writer
   restarted with a fresh file on the same name/inode) is detected by
   ``size < offset`` and re-synced from byte 0, counted in
   :attr:`StreamTailer.resyncs`;
@@ -29,13 +30,15 @@ directory is still growing, by keeping one cursor per physical file:
   and grows it *past* the old offset between polls — ``size < offset``
   never fires) is detected by a small head fingerprint: the hash of the
   first consumed bytes (up to :data:`FINGERPRINT_BYTES`) is remembered
-  per cursor, and a changed head forces the same re-sync from byte 0.
+  per cursor, and a changed head forces the same re-sync from byte 0 —
+  for a live file and for one read to EOF after its rotation alike.
   The fingerprint survives checkpoints (``to_state``/``from_state``),
   so a resumed session detects a restart that happened while it was
   down.
 
-Determinism: daemons are visited in sorted order and segments in the
-batch reader's chronological order, so the concatenation of every
+Determinism: the directory is listed by the batch reader's own
+:func:`~repro.logsys.store.stream_segments` — daemons in sorted order,
+segments in chronological order — so the concatenation of every
 :class:`TailChunk` ever emitted for a daemon equals the line stream the
 batch reader would produce over the final directory.
 """
@@ -46,10 +49,9 @@ import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from stat import S_ISREG
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.logsys.store import _SEGMENT_RE
+from repro.logsys.store import Segment, stream_segments
 
 __all__ = [
     "DirectoryTailer",
@@ -66,6 +68,11 @@ __all__ = [
 #: timestamped line, so same-head collisions require a same-millisecond
 #: restart).
 FINGERPRINT_BYTES = 64
+
+#: Bytes a read to EOF asks for beyond the size the listing saw, so a
+#: file that grew a little since is still read in one call (the next
+#: call, at EOF, returns nothing).
+_EOF_SLACK = 1 << 16
 
 
 @dataclass
@@ -106,10 +113,10 @@ class SegmentCursor:
         """True when the file's head no longer matches the fingerprint.
 
         ``head`` is the file's first ``fp_len`` bytes, read off the
-        data read's already-open descriptor so the per-poll recreation
-        check shares that single open instead of paying its own — the
-        check itself cannot be skipped on any poll: a same-size
-        same-inode rewrite is invisible to every stat-based heuristic.
+        data read's already-open descriptor so the recreation check
+        shares that single open instead of paying its own — the check
+        itself cannot be skipped on any poll: a same-size same-inode
+        rewrite is invisible to every stat-based heuristic.
         """
         if self.fp is None:
             return False
@@ -158,7 +165,7 @@ class StreamTailer:
     def __init__(self, daemon: str):
         self.daemon = daemon
         self.cursors: List[SegmentCursor] = []
-        #: Live-file truncation re-syncs observed (writer restarts).
+        #: Truncation and recreation re-syncs observed (writer restarts).
         self.resyncs = 0
         #: Rotation segments discovered after the stream was first seen.
         self.rotations = 0
@@ -172,23 +179,22 @@ class StreamTailer:
     def _live_name(self) -> str:
         return f"{self.daemon}.log"
 
-    def advance(self, listing: List[Tuple[str, int, int]]) -> bytes:
+    def advance(self, segments: List[Segment], final: bool = False) -> bytes:
         """Consume what the stream's files newly offer, in stream order.
 
-        ``listing`` is the daemon's current directory entries as
-        ``(name, inode, size)`` in chronological (oldest-first) order.
-        Returns the newly consumed bytes, complete lines only.
+        ``segments`` is the daemon's current listing, oldest first, as
+        :func:`~repro.logsys.store.stream_segments` returns it.  Returns
+        the newly consumed bytes: complete lines only, unless ``final``
+        (the drain), which reads every file to EOF and finalizes it.
         """
-        by_inode: Dict[int, Tuple[str, int]] = {
-            inode: (name, size) for name, inode, size in listing
-        }
+        by_inode: Dict[int, Segment] = {segment.inode: segment for segment in segments}
         known = {cursor.inode for cursor in self.cursors}
         # Rename tracking: a cursor follows its inode wherever the
         # rotation chain moved it.
         for cursor in self.cursors:
-            entry = by_inode.get(cursor.inode)
-            if entry is not None:
-                cursor.name = entry[0]
+            segment = by_inode.get(cursor.inode)
+            if segment is not None:
+                cursor.name = str(segment.path)
             elif not cursor.final:
                 # The file vanished (deleted mid-run): nothing more can
                 # ever be read from it.
@@ -197,9 +203,9 @@ class StreamTailer:
         # cursor (they are younger than anything already tracked) in
         # chronological order among themselves — the listing's order.
         fresh = [
-            SegmentCursor(inode=inode, name=name)
-            for name, inode, size in listing
-            if inode not in known
+            SegmentCursor(inode=segment.inode, name=str(segment.path))
+            for segment in segments
+            if segment.inode not in known
         ]
         if fresh and self.cursors:
             self.rotations += len(fresh)
@@ -211,106 +217,74 @@ class StreamTailer:
         for cursor in self.cursors:
             if cursor.final:
                 continue
-            entry = by_inode.get(cursor.inode)
-            if entry is None:
-                cursor.final = True
-                continue
-            name, size = entry
-            if os.path.basename(name) == live_name:
-                buf = self._advance_live(cursor, name, size)
-                if buf:
-                    out.append(buf)
-                lag += size - cursor.offset
-            else:
-                # Rotated: closed for writing — read to EOF, tail and all.
-                buf = _read_to_eof(name, cursor.offset)
-                cursor.offset += len(buf)
-                cursor.final = True
-                if buf:
-                    out.append(_normalized(buf))
+            segment = by_inode[cursor.inode]
+            # A rotated file is closed for writing: read to EOF, tail and all.
+            closed = final or segment.path.name != live_name
+            buf = self._read(cursor, cursor.name, segment.size, closed)
+            if buf:
+                out.append(buf)
+            if not cursor.final:
+                lag += segment.size - cursor.offset
         self.lag_bytes = lag
         return b"".join(out)
 
-    def _advance_live(self, cursor: SegmentCursor, name: str, size: int) -> bytes:
-        """Consume the live file's new complete lines, in **one** open.
+    def _read(self, cursor: SegmentCursor, path: str, size: int, final: bool) -> bytes:
+        """Consume one file's new bytes through one ``os.open``.
 
-        Folds the per-poll head-fingerprint recreation check and the
-        complete-line tail read into a single file open — the two
-        separate opens per stream per poll were a measurable slice of
-        live ingest cost.  The tail read surrenders the bytes from the
-        cursor through the last newline and holds back the partial line
-        after it; a file with no newline yet surrenders nothing.  The
-        check still runs on *every* poll, even when ``size == offset``:
-        a same-size same-inode rewrite is exactly the case the
-        fingerprint exists for.
+        When the cursor holds a head fingerprint, it is checked first:
+        truncation (``size < offset``) or a changed head means the
+        writer started the file over, so the cursor re-syncs from byte 0
+        and :attr:`resyncs` counts it.  A same-size same-inode rewrite
+        is exactly the case the fingerprint exists for, so the check
+        runs even when ``size == offset``.  Then the read:
+
+        * not ``final`` (a live file): the bytes up to ``size`` the
+          listing saw, holding back the partial line after the last
+          newline — a file with no newline yet surrenders nothing;
+        * ``final`` (a rotated file, or the drain): everything to EOF,
+          newline-normalized, and the cursor is finalized.
         """
-        if cursor.fp is None and size <= cursor.offset:
+        if not final and cursor.fp is None and size <= cursor.offset:
             return b""  # nothing to check against, nothing to read
         try:
-            fd = os.open(name, os.O_RDONLY)
+            fd = os.open(path, os.O_RDONLY)
         except OSError:
-            return b""  # vanished mid-poll; the next listing finalizes it
+            # Vanished mid-pass: a live cursor waits for the next
+            # listing to say where its inode went; a final read is over.
+            cursor.final = final
+            return b""
         try:
-            # Raw-fd pread: the hot loop pays one descriptor and two
-            # positioned reads per stream per poll, with no buffered
-            # reader object in between.
-            head = os.pread(fd, cursor.fp_len, 0) if cursor.fp is not None else b""
-            if size < cursor.offset or cursor.head_changed(head):
-                # Truncation, or a writer that recreated the file on
-                # the same inode (the head no longer matches, even
-                # though the new content may already be larger than
-                # the old offset): start over from byte 0.
+            if cursor.fp is not None and (
+                size < cursor.offset
+                or cursor.head_changed(os.pread(fd, cursor.fp_len, 0))
+            ):
                 self.resyncs += 1
                 cursor.resync()
-            if size <= cursor.offset:
-                return b""
-            consumed_from_zero = cursor.offset == 0
-            buf = os.pread(fd, size - cursor.offset, cursor.offset)
+            start = cursor.offset
+            if final:
+                # To EOF: the writer may have appended since the listing.
+                parts = []
+                while block := os.pread(
+                    fd, max(size - cursor.offset, 0) + _EOF_SLACK, cursor.offset
+                ):
+                    parts.append(block)
+                    cursor.offset += len(block)
+                buf = b"".join(parts)
+            else:
+                buf = os.pread(fd, size - start, start) if size > start else b""
+                # Hold back the trailing partial line — bytes after the
+                # last newline are a record the writer may still be
+                # mid-way through.
+                buf = buf[: buf.rfind(b"\n") + 1]
+                cursor.offset += len(buf)
         finally:
             os.close(fd)
-        # Hold back the trailing partial line — bytes after the last
-        # newline are a record the writer may still be mid-way through.
-        newline_at = buf.rfind(b"\n")
-        if newline_at < 0:
-            return b""
-        buf = buf[: newline_at + 1]
-        cursor.offset += newline_at + 1
-        if consumed_from_zero:
+        if start == 0 and buf:
             cursor.fingerprint(buf)
-        return buf
-
-    def flush(self, listing: List[Tuple[str, int, int]]) -> bytes:
-        """Drain: surrender every held-back byte, unterminated tails included."""
-        by_inode: Dict[int, Tuple[str, int]] = {
-            inode: (name, size) for name, inode, size in listing
-        }
-        out: List[bytes] = []
-        for cursor in self.cursors:
-            if cursor.final or cursor.inode not in by_inode:
-                cursor.final = True
-                continue
-            name = by_inode[cursor.inode][0]
-            try:
-                handle = open(name, "rb")
-            except OSError:
-                cursor.final = True
-                continue
-            with handle:
-                if cursor.head_changed(handle.read(cursor.fp_len)):
-                    # Recreated between the final poll and the drain
-                    # flush (or while a checkpointed session was down):
-                    # re-sync so the flush reads the new incarnation
-                    # whole.
-                    self.resyncs += 1
-                    cursor.resync()
-                handle.seek(cursor.offset)
-                buf = handle.read()
-            cursor.offset += len(buf)
+        if final:
             cursor.final = True
-            if buf:
-                out.append(_normalized(buf))
-        self.lag_bytes = 0
-        return b"".join(out)
+            return _normalized(buf)
+        return buf
 
     def to_state(self) -> dict:
         return {
@@ -332,15 +306,6 @@ class StreamTailer:
         return tailer
 
 
-def _read_to_eof(path: str, offset: int) -> bytes:
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            return handle.read()
-    except OSError:
-        return b""
-
-
 class DirectoryTailer:
     """Follows every ``<daemon>.log[.N]`` stream of one directory."""
 
@@ -353,57 +318,6 @@ class DirectoryTailer:
         #: re-accumulating it on the next scan.
         self.evicted: Set[str] = set()
         self.drained = False
-        #: name -> (daemon, index, full path) for segment-pattern
-        #: matches, None for non-matching names.  A name's parse never
-        #: changes, so the per-poll listing pays the regex and the path
-        #: rendering once per distinct name, not once per poll.
-        self._name_meta: Dict[str, Optional[Tuple[str, int, str]]] = {}
-
-    # -- directory scanning ------------------------------------------------
-    def _listing(self) -> Dict[str, List[Tuple[str, int, int]]]:
-        """daemon -> [(name, inode, size)] in chronological order.
-
-        One ``stat`` per matching file: the segment-name match runs on
-        the entry name first, and a single ``stat`` answers regularity,
-        inode, and size together — the previous version paid two
-        ``stat`` calls per file per poll (``is_file`` plus ``stat``).
-        """
-        groups: Dict[str, List[Tuple[int, str, int, int]]] = {}
-        try:
-            paths = list(self.directory.iterdir())
-        except OSError:
-            return {}  # directory missing (or not a directory yet)
-        meta_cache = self._name_meta
-        for path in paths:
-            name = path.name
-            meta = meta_cache.get(name, False)
-            if meta is False:
-                m = _SEGMENT_RE.match(name)
-                if m is None:
-                    meta = None
-                else:
-                    index = -1 if m["index"] is None else int(m["index"])
-                    meta = (m["daemon"], index, str(path))
-                meta_cache[name] = meta
-            if meta is None:
-                continue
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # raced with a rename/delete; next poll sees it
-            if not S_ISREG(stat.st_mode):
-                continue
-            daemon, index, full = meta
-            groups.setdefault(daemon, []).append(
-                (index, full, stat.st_ino, stat.st_size)
-            )
-        out: Dict[str, List[Tuple[str, int, int]]] = {}
-        for daemon in sorted(groups):
-            # Highest index (oldest) first, the live file (index -1) last:
-            # the batch reader's chronological order.
-            entries = sorted(groups[daemon], key=lambda item: item[0], reverse=True)
-            out[daemon] = [(name, inode, size) for _i, name, inode, size in entries]
-        return out
 
     def _stream(self, daemon: str) -> StreamTailer:
         tailer = self.streams.get(daemon)
@@ -414,11 +328,23 @@ class DirectoryTailer:
     # -- polling -----------------------------------------------------------
     def poll(self) -> List[TailChunk]:
         """One pass over the directory: every stream's new complete lines."""
+        return self._pass(final=False)
+
+    def drain(self) -> List[TailChunk]:
+        """One final pass, held-back tails included: then the tailer is done."""
+        chunks = self._pass(final=True)
+        self.drained = True
+        return chunks
+
+    def _pass(self, final: bool) -> List[TailChunk]:
+        try:
+            listing = dict(stream_segments(self.directory))
+        except OSError:
+            listing = {}  # directory missing (or not a directory yet)
         chunks: List[TailChunk] = []
-        listing = self._listing()
-        for daemon in sorted((set(listing) | set(self.streams)) - self.evicted):
+        for daemon in sorted((listing.keys() | self.streams.keys()) - self.evicted):
             tailer = self._stream(daemon)
-            data = tailer.advance(listing.get(daemon, []))
+            data = tailer.advance(listing.get(daemon, []), final)
             chunks.append(TailChunk(daemon, data, tailer.segments))
         return chunks
 
@@ -426,17 +352,6 @@ class DirectoryTailer:
         """Stop following ``daemon`` forever; True when it was tracked."""
         self.evicted.add(daemon)
         return self.streams.pop(daemon, None) is not None
-
-    def drain(self) -> List[TailChunk]:
-        """Final poll plus held-back tails: after this the tailer is done."""
-        chunks = self.poll()
-        listing = self._listing()
-        for chunk in chunks:
-            tailer = self.streams[chunk.daemon]
-            chunk.data += tailer.flush(listing.get(chunk.daemon, []))
-            chunk.segments = tailer.segments
-        self.drained = True
-        return chunks
 
     # -- observability -----------------------------------------------------
     @property

@@ -14,18 +14,23 @@ returns a cached immutable tuple view (rebuilt only after an append),
 which makes repeated per-daemon reads O(1) instead of a list copy per
 call.
 
-Directory mining reads raw bytes instead: :func:`partition_file` cuts
-each file into byte ranges by size alone, and :func:`read_chunk`, one
-seeking ``read(2)`` per range, returns exactly the lines that range
-owns.  It is the only chunk reader.
+A directory is listed one way, by :func:`stream_segments`: batch
+mining, :meth:`LogStore.load`, the fault catalog and the live tailer
+all read its ``(daemon, [Segment, ...])`` streams.  Directory mining
+reads raw bytes: :func:`partition_file` cuts each file into byte ranges
+by the size the listing read, and :func:`read_chunk`, one seeking
+``read(2)`` per range, returns exactly the lines that range owns.  It
+is the only chunk reader.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from stat import S_ISREG
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.logsys.diagnostics import StreamDiagnostics
 from repro.logsys.record import PARSE_BAD_TIMESTAMP, LogRecord, millisecond_stamp
@@ -34,9 +39,9 @@ __all__ = [
     "DaemonLogger",
     "LogStore",
     "SealedStoreError",
+    "Segment",
     "iter_file_lines",
     "iter_file_records",
-    "iter_segment_records",
     "partition_file",
     "read_chunk",
     "stream_segments",
@@ -60,6 +65,11 @@ FAST_CHUNK_TARGET = 4 * 1024 * 1024
 #: ``<daemon>.log`` (live) or ``<daemon>.log.N`` (rotated segment, the
 #: log4j RollingFileAppender convention: higher N is older).
 _SEGMENT_RE = re.compile(r"^(?P<daemon>.+)\.log(?:\.(?P<index>\d+))?$")
+
+#: Distinct file names whose segment parse is remembered.  A live
+#: session lists the same directory every poll, so each name pays the
+#: regex once; the bound keeps a long-lived process's memory flat.
+_SEGMENT_NAME_CACHE = 1 << 16
 
 
 class SealedStoreError(RuntimeError):
@@ -100,21 +110,21 @@ def iter_file_lines(path: str | Path, chunk_size: int = _CHUNK_SIZE) -> Iterator
 
 
 def partition_file(
-    path: str | Path,
+    size: int,
     threshold: int = FAST_SPLIT_THRESHOLD,
     target: int = FAST_CHUNK_TARGET,
 ) -> List[Tuple[int, int]]:
-    """Deterministic byte-range partition of one log file.
+    """Deterministic byte-range partition of a log file of ``size`` bytes.
 
     Returns ``[(start, end), ...]`` half-open byte ranges covering the
     file: a single range for files of at most ``threshold`` bytes,
     otherwise ranges of roughly ``target`` bytes each.  Boundaries are
-    pure arithmetic over the file *size* — no bytes are read — so the
-    partition of a given file is identical on every run and process.
-    Line alignment is the reader's job: :func:`read_chunk` assigns each
-    line to exactly one range via the line-ownership protocol.
+    pure arithmetic over the size :func:`stream_segments` read — no
+    bytes are read and nothing is stat'ed again — so the partition of a
+    given file is identical on every run and process.  Line alignment
+    is the reader's job: :func:`read_chunk` assigns each line to exactly
+    one range via the line-ownership protocol.
     """
-    size = Path(path).stat().st_size
     if size <= threshold or target <= 0:
         return [(0, size)]
     chunks = -(-size // target)  # ceil division
@@ -205,43 +215,60 @@ def iter_file_records(
             yield record
 
 
-def iter_segment_records(
-    paths: Sequence[str | Path],
-    chunk_size: int = _CHUNK_SIZE,
-    diagnostics: Optional[StreamDiagnostics] = None,
-) -> Iterator[LogRecord]:
-    """Yield the records of one stream's rotation segments, oldest first."""
-    if diagnostics is not None:
-        diagnostics.segments = max(1, len(paths))
-    for path in paths:
-        yield from iter_file_records(path, chunk_size, diagnostics)
+class Segment(NamedTuple):
+    """One file of a log stream, as a directory listing saw it."""
+
+    path: Path
+    inode: int
+    size: int
 
 
-def stream_segments(directory: str | Path) -> List[Tuple[str, List[Path]]]:
+@lru_cache(maxsize=_SEGMENT_NAME_CACHE)
+def _segment_name(name: str) -> Optional[Tuple[str, int]]:
+    """``(daemon, rotation index)`` of a segment file name, else None.
+
+    The live ``<daemon>.log`` has index -1, so it sorts after every
+    rotated segment.  The daemon name is interned: every scan and
+    report of the directory shares it.
+    """
+    m = _SEGMENT_RE.match(name)
+    if m is None:
+        return None
+    return sys.intern(m["daemon"]), -1 if m["index"] is None else int(m["index"])
+
+
+def stream_segments(directory: str | Path) -> List[Tuple[str, List[Segment]]]:
     """The log streams of one directory, with rotation segments merged.
 
-    Returns ``(daemon, [segment paths in chronological order])`` pairs
-    sorted by daemon name.  A stream rotated by log4j's
-    RollingFileAppender is ``<daemon>.log.N`` (oldest) down through
-    ``<daemon>.log.1`` and finally the live ``<daemon>.log``; reading
-    the segments in that order reconstructs the original stream.
+    Returns ``(daemon, [Segment, ...])`` pairs sorted by daemon name,
+    each stream's segments in chronological order.  A stream rotated
+    by log4j's RollingFileAppender is ``<daemon>.log.N`` (oldest) down
+    through ``<daemon>.log.1`` and finally the live ``<daemon>.log``;
+    reading the segments in that order reconstructs the original
+    stream.  One ``stat`` per matching name answers regularity, inode
+    and size together; a name that vanishes between the listing and
+    its ``stat`` (a rotation racing the listing) is skipped.
     """
-    groups: Dict[str, List[Tuple[int, Path]]] = {}
+    groups: Dict[str, List[Tuple[int, Segment]]] = {}
     for path in Path(directory).iterdir():
-        if not path.is_file():
+        meta = _segment_name(path.name)
+        if meta is None:
             continue
-        m = _SEGMENT_RE.match(path.name)
-        if m is None:
+        try:
+            stat = path.stat()
+        except OSError:
             continue
-        # Live files (no index) sort after every rotated segment; rotated
-        # segments sort highest-index (oldest) first.
-        index = -1 if m["index"] is None else int(m["index"])
-        # Interned: every scan and report of this directory shares it.
-        groups.setdefault(sys.intern(m["daemon"]), []).append((index, path))
-    out: List[Tuple[str, List[Path]]] = []
+        if not S_ISREG(stat.st_mode):
+            continue
+        daemon, index = meta
+        groups.setdefault(daemon, []).append(
+            (index, Segment(path, stat.st_ino, stat.st_size))
+        )
+    out: List[Tuple[str, List[Segment]]] = []
     for daemon in sorted(groups):
-        segments = sorted(groups[daemon], key=lambda item: item[0], reverse=True)
-        out.append((daemon, [path for _index, path in segments]))
+        # Highest index (oldest) first, the live file (index -1) last.
+        entries = sorted(groups[daemon], key=lambda item: item[0], reverse=True)
+        out.append((daemon, [segment for _index, segment in entries]))
     return out
 
 
@@ -388,11 +415,12 @@ class LogStore:
         disk are the complete run.
         """
         store = cls()
-        for daemon, paths in stream_segments(directory):
+        for daemon, segments in stream_segments(directory):
             store._streams.setdefault(daemon, [])
-            diagnostics = StreamDiagnostics(daemon=daemon)
-            for record in iter_segment_records(paths, diagnostics=diagnostics):
-                store.append(daemon, record)
+            diagnostics = StreamDiagnostics(daemon=daemon, segments=len(segments))
+            for segment in segments:
+                for record in iter_file_records(segment.path, diagnostics=diagnostics):
+                    store.append(daemon, record)
             store.stream_diagnostics[daemon] = diagnostics
         return store.seal()
 

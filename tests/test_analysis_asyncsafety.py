@@ -355,19 +355,18 @@ class TestSD403Queues:
 
 class TestRealTree:
     def test_only_the_baselined_serving_deviations_remain(self, src_index):
-        # Six accepted deviations, all in the live server and all
+        # Four accepted deviations, all in the live server and all
         # baselined: the poll loop's tailing I/O and the drain op's
-        # end-of-life flush each reach _read_to_eof's open() and
-        # _advance_live's os.open()/os.pread() — single-threaded
-        # serving by design.
+        # final pass each reach StreamTailer._read's os.open() and
+        # os.pread() — single-threaded serving by design.
         findings = asyncsafety.analyze(src_index)
-        assert [f.rule for f in findings] == ["SD401"] * 6
+        assert [f.rule for f in findings] == ["SD401"] * 4
         assert {f.path for f in findings} == {"repro/live/server.py"}
         for root in (
             "async def LiveServer._poll_loop",
             "event-loop callback _Connection.buffer_updated",
         ):
-            for call in ("open", "os.open", "os.pread"):
+            for call in ("os.open", "os.pread"):
                 needle = f"blocking call {call}() is reachable from {root} "
                 assert sum(needle in f.message for f in findings) == 1
 

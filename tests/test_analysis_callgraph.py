@@ -203,7 +203,7 @@ class TestRealTree:
             qual
             for qual in parents
             if any(
-                name == "open"
+                name == "os.open"
                 for name, _ in graph.index.functions[qual].external_calls
             )
         }

@@ -43,10 +43,10 @@ class TestPristine:
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert payload["findings"] == []
-        # 12 accepted findings: 5 SD204 (the KILLING entry retired when
+        # 10 accepted findings: 5 SD204 (the KILLING entry retired when
         # the Table I′ taxonomy extension made that state
-        # SDchecker-visible), 6 SD401 and 1 SD501.
-        assert payload["suppressed"] == 12
+        # SDchecker-visible), 4 SD401 and 1 SD501.
+        assert payload["suppressed"] == 10
         assert payload["unused_baseline"] == []
         assert sorted(payload["passes"]) == [
             "asyncsafety",

@@ -77,6 +77,20 @@ class TestFit:
         rc = main(["fit", "--jobs", "zero"])
         assert rc == 2
 
+    def test_out_creates_missing_parent_directories(self, tmp_path):
+        out = tmp_path / "missing" / "dir" / "m.json"
+        rc = main(
+            ["fit", "--grid", "1", "--random", "0", "--jobs", "1", "--out", str(out)]
+        )
+        assert rc == 0
+        assert FittedModel.load(out).scenario == "diurnal-burst"
+
+    def test_target_that_is_not_a_directory_exits_2(self, tmp_path, capsys):
+        rc = main(["fit", "--target", str(tmp_path / "nonexistent")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: {tmp_path / 'nonexistent'} is not a directory\n"
+
 
 class TestPredict:
     def test_renders_table(self, artifact, capsys):

@@ -117,8 +117,8 @@ class TestFileEffects:
         before = _tree_bytes(corpus)
         receipts = FaultInjector(seed=4).inject(corpus, ["rotation-split"])
         assert receipts[0].touched
-        for daemon, paths in stream_segments(corpus):
-            merged = b"".join(p.read_bytes() for p in paths)
+        for daemon, segments in stream_segments(corpus):
+            merged = b"".join(s.path.read_bytes() for s in segments)
             assert merged == before[f"{daemon}.log"]
 
     def test_truncate_final_leaves_partial_last_line(self, corpus):

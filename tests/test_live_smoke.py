@@ -89,6 +89,26 @@ class TestWatch:
         state = json.loads(checkpoint.read_text())
         assert state["drained"] is True
 
+    def test_watch_checkpoint_creates_missing_parent_directories(
+        self, tmp_path, capsys
+    ):
+        logdir = _golden_copy(tmp_path)
+        checkpoint = tmp_path / "missing" / "dir" / "state.json"
+        rc = main(
+            [
+                "watch",
+                str(logdir),
+                "--poll-interval",
+                "0.01",
+                "--idle-polls",
+                "1",
+                "--checkpoint",
+                str(checkpoint),
+            ]
+        )
+        assert rc == 0
+        assert json.loads(checkpoint.read_text())["drained"] is True
+
     def test_watch_module_entry_point(self, tmp_path):
         logdir = _golden_copy(tmp_path)
         env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import builtins
 import os
 
 import pytest
 
 from repro.live.tailer import DirectoryTailer, SegmentCursor, StreamTailer, TailChunk
+from repro.logsys.store import stream_segments
 
 
 def _listing_of(directory):
-    """A DirectoryTailer poll listing for assertions on one stream."""
-    return DirectoryTailer(directory)._listing()
+    """The listing every tailer pass reads: daemon -> segments, oldest first."""
+    return dict(stream_segments(directory))
 
 
 class TestLineOwnership:
@@ -66,9 +68,10 @@ class TestLineOwnership:
 
 
 def _advance(path, offset=0):
-    """One ``_advance_live`` read of ``path`` from a bare cursor."""
-    cursor = SegmentCursor(inode=os.stat(path).st_ino, name=str(path), offset=offset)
-    return StreamTailer("d")._advance_live(cursor, str(path), path.stat().st_size), cursor
+    """One live ``_read`` of ``path`` from a bare cursor, sized by the listing."""
+    (segment,) = _listing_of(path.parent)["d"]
+    cursor = SegmentCursor(inode=segment.inode, name=str(segment.path), offset=offset)
+    return StreamTailer("d")._read(cursor, cursor.name, segment.size, False), cursor
 
 
 class TestAdvanceLive:
@@ -85,12 +88,12 @@ class TestAdvanceLive:
         path.write_bytes(b"one\ntwo\npart")
         tailer = StreamTailer("d")
         cursor = SegmentCursor(inode=os.stat(path).st_ino, name=str(path))
-        buf = tailer._advance_live(cursor, str(path), 12)
+        buf = tailer._read(cursor, str(path), 12, False)
         assert buf == b"one\ntwo\n" and cursor.offset == 8
         # The writer finishes the line; the next read picks it up whole.
         with path.open("ab") as handle:
             handle.write(b"ial line\n")
-        buf = tailer._advance_live(cursor, str(path), 21)
+        buf = tailer._read(cursor, str(path), 21, False)
         assert buf == b"partial line\n" and cursor.offset == 21
         assert tailer.resyncs == 0
 
@@ -157,6 +160,24 @@ class TestRotation:
         assert chunk.data == b"b\nc\n"
         assert chunk.segments == 3
 
+    def test_rotated_segment_rewritten_after_rotation_resyncs(self, tmp_path):
+        live = tmp_path / "rm.log"
+        live.write_bytes(b"first incarnation, line A\n")
+        tailer = DirectoryTailer(tmp_path)
+        tailer.poll()
+        rotated = tmp_path / "rm.log.1"
+        os.rename(live, rotated)
+        inode = rotated.stat().st_ino
+        # Rewritten in place after the rotation: same inode, new head.
+        second = b"second incarnation line A\nand an unterminated tail"
+        rotated.write_bytes(second)
+        assert rotated.stat().st_ino == inode
+        (chunk,) = tailer.poll()
+        # Read from the stale offset this would be "and an unterminated
+        # tail": the head check re-reads the new incarnation whole.
+        assert chunk.data == second + b"\n"
+        assert tailer.resyncs == 1
+
     def test_vanished_file_is_finalized(self, tmp_path):
         live = tmp_path / "rm.log"
         live.write_bytes(b"a\n")
@@ -165,6 +186,34 @@ class TestRotation:
         live.unlink()
         (chunk,) = tailer.poll()
         assert chunk.data == b""
+
+
+class TestDrain:
+    def test_drain_opens_each_non_final_file_once(self, tmp_path, monkeypatch):
+        (tmp_path / "rm.log.1").write_bytes(b"rotated\n")
+        (tmp_path / "rm.log").write_bytes(b"live\npartial")
+        (tmp_path / "nm.log").write_bytes(b"complete\n")
+        tailer = DirectoryTailer(tmp_path)
+        tailer.poll()  # rm.log.1 is read to EOF and finalized here
+        opened = []
+
+        def spy(real):
+            def opener(file, *args, **kwargs):
+                opened.append(os.fspath(file))
+                return real(file, *args, **kwargs)
+
+            return opener
+
+        monkeypatch.setattr(builtins, "open", spy(builtins.open))
+        monkeypatch.setattr(os, "open", spy(os.open))
+        chunks = tailer.drain()
+        monkeypatch.undo()
+        assert sorted(opened) == [str(tmp_path / "nm.log"), str(tmp_path / "rm.log")]
+        assert [(c.daemon, c.data) for c in chunks] == [
+            ("nm", b""),
+            ("rm", b"partial\n"),
+        ]
+        assert tailer.drained and tailer.tail_lag_bytes == 0
 
 
 class TestTruncation:

@@ -176,7 +176,7 @@ class TestReaderTolerance:
             "2018-01-12 00:00:00,300 INFO New: live\n"
         )
         streams = stream_segments(tmp_path)
-        assert [(d, [p.name for p in paths]) for d, paths in streams] == [
+        assert [(d, [s.path.name for s in segments]) for d, segments in streams] == [
             ("daemon", ["daemon.log.2", "daemon.log.1", "daemon.log"])
         ]
         store = LogStore.load(tmp_path)

@@ -213,12 +213,12 @@ class TestChunkReader:
     def test_small_file_is_one_chunk(self, tmp_path):
         path = tmp_path / "d.log"
         path.write_bytes(b"a\nb\n")
-        assert partition_file(path) == [(0, 4)]
+        assert partition_file(path.stat().st_size) == [(0, 4)]
 
     def test_partition_covers_file_contiguously(self, tmp_path):
         path = tmp_path / "d.log"
         path.write_bytes(b"x" * 1000)
-        ranges = partition_file(path, threshold=100, target=64)
+        ranges = partition_file(path.stat().st_size, threshold=100, target=64)
         assert ranges[0][0] == 0 and ranges[-1][1] == 1000
         for (_, a_end), (b_start, _) in zip(ranges, ranges[1:]):
             assert a_end == b_start
@@ -230,7 +230,7 @@ class TestChunkReader:
         path = tmp_path / "d.log"
         _write(tmp_path, "d.log", lines)
         for target in (16, 48, 130, 4096):
-            ranges = partition_file(path, threshold=1, target=target)
+            ranges = partition_file(path.stat().st_size, threshold=1, target=target)
             buf = b"".join(read_chunk(path, s, e) for s, e in ranges)
             assert buf == path.read_bytes()
             # Every line is owned by exactly one range.
@@ -244,7 +244,7 @@ class TestChunkReader:
     def test_unterminated_tail_line_is_kept(self, tmp_path):
         path = tmp_path / "d.log"
         path.write_bytes(b"first line\nsecond without newline")
-        ranges = partition_file(path, threshold=4, target=8)
+        ranges = partition_file(path.stat().st_size, threshold=4, target=8)
         buf = b"".join(read_chunk(path, s, e) for s, e in ranges)
         assert buf == path.read_bytes()
 
@@ -272,7 +272,9 @@ class TestChunkReader:
         path.write_bytes(body)
         chunks = [
             read_chunk(path, s, e)
-            for s, e in partition_file(path, threshold=threshold, target=target)
+            for s, e in partition_file(
+                path.stat().st_size, threshold=threshold, target=target
+            )
         ]
         assert b"".join(chunks) == body
         # Each chunk holds whole lines only, so splitting chunk by chunk
@@ -283,7 +285,7 @@ class TestChunkReader:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.log"
         path.write_bytes(b"")
-        assert partition_file(path) == [(0, 0)]
+        assert partition_file(path.stat().st_size) == [(0, 0)]
         assert read_chunk(path, 0, 0) == b""
         assert read_chunk(path, 0, 10) == b""
 
@@ -309,7 +311,7 @@ class TestChunkReader:
         # exercises the lookbehind and the read-to-newline extension.
         lines = [b"%036d" % i for i in range(40)]
         path.write_bytes(b"".join(line + b"\n" for line in lines))
-        ranges = partition_file(path, threshold=64, target=48)
+        ranges = partition_file(path.stat().st_size, threshold=64, target=48)
         assert len(ranges) > 1
         assert all(start % 37 for start, _ in ranges[1:])
         chunks = [read_chunk(path, s, e) for s, e in ranges]
@@ -324,7 +326,7 @@ class TestChunkReader:
         with open(path, "wb") as handle:
             for _ in range(2400):  # over FAST_SPLIT_THRESHOLD
                 handle.write(line)
-        chunks = partition_file(path)
+        chunks = partition_file(path.stat().st_size)
         assert len(chunks) >= 2
         owned = [read_chunk(path, s, e) for s, e in chunks]
         assert all(chunk.endswith(b"\n") for chunk in owned)

@@ -132,6 +132,14 @@ class TestCliExtensions:
         assert main([str(logdir), "--containers-csv", str(out)]) == 0
         assert out.read_text().count("\n") == 6  # header + 5 containers
 
+    @pytest.mark.parametrize("flag", ["--csv", "--containers-csv"])
+    def test_csv_creates_missing_parent_directories(self, logdir, tmp_path, flag):
+        from repro.core.cli import main
+
+        out = tmp_path / "missing" / "dir" / "x.csv"
+        assert main([str(logdir), flag, str(out)]) == 0
+        assert out.read_text().startswith("app_id,")
+
     def test_compare_mode(self, logdir, capsys):
         from repro.core.cli import main
 
